@@ -120,8 +120,10 @@ func (rw *realWheel) loop() {
 		due = rw.wh.advanceTo(now, due)
 		rw.scratch = due[:0]
 		rw.sleepUntil = -1 // collecting; new arrivals need no kick
-		rw.mu.Unlock()
+		// Sort under the lock: a Reset may rewrite an entry's deadline
+		// as soon as it drops.
 		sortDue(due)
+		rw.mu.Unlock()
 		at := rw.base.Add(time.Duration(now))
 		for _, entry := range due {
 			entry.t.fire(at)

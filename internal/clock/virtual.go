@@ -13,17 +13,24 @@ const virtualTick = int64(time.Millisecond)
 
 // Virtual is a discrete-event clock. Time only moves when every goroutine
 // that interacts with the clock is blocked waiting on it: a background pump
-// observes a short quiescence window (no new timer registrations) and then
+// observes a short quiescence window (no new timer registrations, and on
+// Linux no other thread of the process running or in disk wait) and then
 // jumps the clock to the earliest pending deadline, firing all timers due at
 // that instant.
 //
 // This "auto-advancing fake clock" lets unmodified production code — the
 // dispatcher, the mailbox, the simulated network — run a one-minute workload
-// in a few milliseconds of wall time. The quiescence heuristic trades strict
-// determinism for not having to instrument every goroutine; in practice the
-// workloads in this repository are sleep-dominated (bandwidth serialization,
-// propagation delay, timeouts), so the heuristic is stable. Tests assert
-// shapes with tolerances rather than exact event interleavings.
+// in a few milliseconds of wall time. The quiescence test trades strict
+// determinism for not having to instrument every goroutine: it watches the
+// clock's own counters and the process's threads, not the goroutines.
+// Yielding through the grace window is enough with one processor; with
+// several, a goroutine busy on another one (a parse, an fsync, a thread
+// the host has preempted) registers nothing for as long as it runs, so on
+// Linux the pump also requires every other thread of the process to be
+// asleep before it advances (see settled). Elsewhere the grace window is
+// the only test, and SetGrace is the knob for CPU-bound phases. Event
+// interleavings are still not reproducible run to run, so tests assert
+// shapes with tolerances rather than exact traces.
 //
 // Timers live on the same hashed wheel structure as Real's (see the
 // package doc); the pump advances the wheel to exact deadlines and fires
@@ -35,6 +42,7 @@ type Virtual struct {
 	nowNs   int64
 	wh      wheel
 	gen     uint64 // bumped on every registration; pump detects churn
+	reads   uint64 // bumped on every Now; pump detects work mid-scan
 	stopped bool
 	wake    chan struct{} // pump kick
 
@@ -48,10 +56,19 @@ type Virtual struct {
 	// minute-long sweeps run in seconds of wall time.
 	coalesce time.Duration
 
-	// scratch recycles the pump's due-batch slice; taken under mu,
-	// handed back after the batch fires (Advance may race the pump, in
-	// which case the loser allocates its own).
-	scratch []*wtimer
+	// scratch recycles the pump's due batch; taken under mu, handed
+	// back after the batch fires (Advance may race the pump, in which
+	// case the loser allocates its own).
+	scratch *dueBatch
+}
+
+// dueBatch is one fire batch in (deadline, registration) order, with
+// each entry's deadline copied out under the clock's lock: once the lock
+// drops, a Reset may re-arm an entry and rewrite its deadline while the
+// batch is still firing.
+type dueBatch struct {
+	due []*wtimer
+	at  []int64
 }
 
 // NewVirtual returns a running Virtual clock starting at start. Call Stop
@@ -103,6 +120,7 @@ func (v *Virtual) Stop() {
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.reads++
 	return v.start.Add(time.Duration(v.nowNs))
 }
 
@@ -171,12 +189,10 @@ func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.nowNs + int64(d)
-	due := v.takeScratchLocked()
-	due = v.wh.advanceTo(target, due)
+	b := v.collectLocked(target)
 	v.nowNs = target
 	v.mu.Unlock()
-	sortDue(due)
-	v.fireBatch(due)
+	v.fireBatch(b)
 }
 
 // Pending reports how many timers are currently registered. Used by tests.
@@ -193,32 +209,48 @@ func (v *Virtual) kick() {
 	}
 }
 
-// takeScratchLocked claims the recycled due slice (or starts a fresh one
-// when another batch is mid-fire). Caller holds v.mu.
-func (v *Virtual) takeScratchLocked() []*wtimer {
-	s := v.scratch
+// collectLocked takes every timer due by target off the wheel into the
+// recycled batch (or a fresh one when another batch is mid-fire), sorted,
+// with deadlines copied. Caller holds v.mu.
+func (v *Virtual) collectLocked(target int64) *dueBatch {
+	b := v.scratch
 	v.scratch = nil
-	return s[:0]
+	if b == nil {
+		b = new(dueBatch)
+	}
+	b.due = v.wh.advanceTo(target, b.due[:0])
+	sortDue(b.due)
+	b.at = b.at[:0]
+	for _, e := range b.due {
+		b.at = append(b.at, e.deadline)
+	}
+	return b
 }
 
-// fireBatch delivers a sorted due batch outside the lock — each waiter
-// observes its own deadline as the fire time — then hands the slice back
+// fireBatch delivers a collected batch outside the lock — each waiter
+// observes its own deadline as the fire time — then hands the batch back
 // for reuse.
-func (v *Virtual) fireBatch(due []*wtimer) {
-	for _, e := range due {
-		e.t.fire(v.start.Add(time.Duration(e.deadline)))
+func (v *Virtual) fireBatch(b *dueBatch) {
+	for i, e := range b.due {
+		e.t.fire(v.start.Add(time.Duration(b.at[i])))
 	}
 	v.mu.Lock()
 	if v.scratch == nil {
-		v.scratch = due[:0]
+		v.scratch = b
 	}
 	v.mu.Unlock()
 }
 
+// pumpMu serializes the quiescence check across every Virtual clock in
+// the process. A pump spinning through its check is a running thread to
+// every other pump's thread scan, so two unserialized pumps would each
+// wait on the other forever; a pump waiting here is parked, not running.
+var pumpMu sync.Mutex
+
 // pump advances virtual time whenever the system is quiescent: it samples
 // the registration generation counter, yields the processor through the
-// grace window, and if no new timers appeared and the earliest deadline is
-// unchanged it jumps time to that deadline.
+// grace window, checks that no other thread of the process is running,
+// and if no new timers appeared it jumps time to the earliest deadline.
 func (v *Virtual) pump() {
 	for {
 		v.mu.Lock()
@@ -235,18 +267,27 @@ func (v *Virtual) pump() {
 		grace := v.grace
 		v.mu.Unlock()
 
+		pumpMu.Lock()
 		// Let runnable goroutines make progress: they may register
 		// earlier deadlines or consume data that was just delivered.
+		// Churn already answers what the thread scan would ask. A
+		// goroutine that wakes while the scan is between threads reads
+		// the clock before it touches the simulation, so a Now during
+		// the scan voids it.
 		quiesce(grace)
+		gen, readsBefore := v.counters()
+		quiet := gen == genBefore && settled()
 
 		v.mu.Lock()
 		if v.stopped {
 			v.mu.Unlock()
+			pumpMu.Unlock()
 			return
 		}
-		if v.gen != genBefore || v.wh.count == 0 {
-			// Churn during the grace window; re-observe.
+		if !quiet || v.gen != genBefore || v.reads != readsBefore || v.wh.count == 0 {
+			// Work in flight or churn during the window; re-observe.
 			v.mu.Unlock()
+			pumpMu.Unlock()
 			continue
 		}
 		// Advance to the earliest deadline, sweeping in everything
@@ -255,15 +296,21 @@ func (v *Virtual) pump() {
 		// observes a time before its own deadline.
 		earliest, _ := v.wh.earliest()
 		target := earliest + int64(v.coalesce)
-		due := v.takeScratchLocked()
-		due = v.wh.advanceTo(target, due)
-		sortDue(due)
-		if n := len(due); n > 0 && due[n-1].deadline > v.nowNs {
-			v.nowNs = due[n-1].deadline
+		b := v.collectLocked(target)
+		if n := len(b.at); n > 0 && b.at[n-1] > v.nowNs {
+			v.nowNs = b.at[n-1]
 		}
 		v.mu.Unlock()
-		v.fireBatch(due)
+		pumpMu.Unlock()
+		v.fireBatch(b)
 	}
+}
+
+// counters returns the timer registration and clock read counters.
+func (v *Virtual) counters() (gen, reads uint64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.gen, v.reads
 }
 
 // quiesce yields the processor repeatedly for roughly the grace duration.
@@ -279,4 +326,33 @@ func quiesce(grace time.Duration) {
 			return
 		}
 	}
+}
+
+// settled reports whether, after quiesce, no other thread of the process
+// is doing work. Yielding only drains the pump's own processor; with
+// several processors a goroutine mid-parse or mid-fsync on another one —
+// or on a thread the host has preempted — registers no timer for as long
+// as it runs, and the grace window alone would read that as quiescence.
+// The Go scheduler keeps a thread awake (running or queued for a CPU)
+// while any goroutine is runnable on its processor, so a scan that finds
+// every other thread asleep means no goroutine is running or runnable.
+// The scan reads threads one by one, so a hand-off between two threads
+// can slip between the reads; a second scan straight after closes that
+// gap. Between attempts the pump naps rather than yields, so the
+// scheduler threads its last Gosched woke can go back to sleep. Where
+// thread states cannot be read, the grace window is the only test.
+func settled() bool {
+	for try := 0; try < 8; try++ {
+		nap()
+		idle, ok := otherThreadsIdle()
+		if !ok {
+			return true
+		}
+		if idle {
+			if idle, _ = otherThreadsIdle(); idle {
+				return true
+			}
+		}
+	}
+	return false
 }

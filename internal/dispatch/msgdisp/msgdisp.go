@@ -24,16 +24,33 @@
 // plain MSG-Dispatcher as the slowest configuration and MSG-Dispatcher +
 // WS-MsgBox as the fastest.
 //
-// Since PR 9, the hot legs are zero-parse: canonical envelopes — the
-// stack's own serializer output shape — are routed from a streaming
-// wsa.SkimEnvelope scan (spans over the pooled request buffer, no tree,
-// 0 allocs) and rewritten by splicing through the skeleton cache
-// (wsa.AppendSkimRewritten). Anything the skim cannot prove canonical
-// falls back to soap.Parse transparently; both paths funnel into the
-// same verdict tails (admitForward, deliverToWaiter, forwardReply), so
-// fault strings, statuses, counters, and wire bytes are identical
-// either way. See skimroute.go and the ROADMAP "Zero-parse forward
-// path (PR 9)" contract for the aliasing and fallback rules.
+// # One routing path, two front ends
+//
+// Every message — posted by a client, posted by a service, or answered
+// synchronously on a WsThread's delivery connection — is routed once,
+// against a view: its SOAP version, the seven WS-Addressing values (EPR
+// fields as their Address text), and a render source. Classify (reply
+// or request), resolve, register pending-reply state, rewrite+render,
+// admit, reply routing and the RPC bridge are each written once against
+// that view.
+//
+// Two front ends fill it. The skim (wsa.SkimEnvelope) comes first: it
+// accepts the stack's own canonical wire form, yields spans over the
+// pooled request buffer, and costs no allocation. Whatever it declines
+// goes to soap.Parse and wsa.FromEnvelope. The choice is made from the
+// input alone, and a decline is invisible: same verdicts, fault
+// strings, counters and wire bytes (see the wsa package doc for the
+// contract the skim keeps).
+//
+// The render source follows the front end. A skimmed view splices its
+// canonical body span under the rewritten fields
+// (wsa.AppendSkimRewritten). A parsed view renders its own *wsa.Headers
+// through wsa.AppendRewritten with only the fields the leg rewrites (To,
+// ReplyTo) overridden, so foreign header blocks and reference properties
+// reach the wire as they arrived. Every view value aliases the
+// exchange's pooled body: anything kept past the routing pass (pending
+// keys, reply addresses, queued payloads) is detached or rendered into
+// its own buffer.
 package msgdisp
 
 import (
@@ -167,10 +184,9 @@ type Dispatcher struct {
 	// awaitAnonymous for the stale-fire discipline). waiters recycles
 	// their reply slots (see waiterSlot for the generation guard), and
 	// cxTasks the Serve admission closures.
-	timers        sync.Pool
-	waiters       sync.Pool
-	cxTasks       sync.Pool
-	bridgeScratch sync.Pool
+	timers  sync.Pool
+	waiters sync.Pool
+	cxTasks sync.Pool
 
 	// selfEPR and noneEPR are the two constant ReplyTo rewrites, built
 	// once so the per-message rewrite allocates nothing. They are shared
@@ -196,11 +212,11 @@ type Dispatcher struct {
 }
 
 type pendingReply struct {
-	// replyTo is the detached forward address; nil for anonymous
-	// entries, whose reply goes to the waiter instead (skipping the
-	// detach — anonymous is the steady-state RPC path and the EPR
-	// would never be read).
-	replyTo *wsa.EPR
+	// replyTo is the detached ReplyTo address the reply is forwarded
+	// to; "" for anonymous entries, whose reply goes to the waiter
+	// instead (skipping the detach — anonymous is the steady-state RPC
+	// path and the address would never be read).
+	replyTo string
 	// waiter, when non-nil, is the slot of an RPC-style caller blocked
 	// on its HTTP connection; the reply is handed over the slot's
 	// channel instead of being forwarded. wgen is the slot generation
@@ -304,8 +320,8 @@ func (d *Dispatcher) Stop() {
 // the connection's one reusable completion channel (inside the Exchange)
 // is touched only on this hijacked path. The connection holds the pooled
 // request body until Finish, so it stays valid for the whole routing
-// pass (everything route retains past it — pending-reply state, queued
-// payloads, waiter envelopes — is detached or rendered into its own
+// pass (everything routing retains past it — pending-reply state, queued
+// payloads, waiter replies — is detached or rendered into its own
 // buffer).
 func (d *Dispatcher) Serve(ex *httpx.Exchange) {
 	ex.Hijack()
@@ -317,7 +333,7 @@ func (d *Dispatcher) Serve(ex *httpx.Exchange) {
 			t.ex = nil
 			d.cxTasks.Put(t)
 			defer ex.Finish()
-			d.route(ex, ex.Req.Body, nil)
+			d.route(ex)
 		}
 	}
 	t.ex = ex
@@ -325,75 +341,146 @@ func (d *Dispatcher) Serve(ex *httpx.Exchange) {
 	if err != nil {
 		t.ex = nil
 		d.cxTasks.Put(t)
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
+		d.reject(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
 			"dispatcher overloaded: "+err.Error())
 		ex.Finish()
 	}
 }
 
-// route is the CxThread body: scan, classify (request vs response),
-// resolve, rewrite, enqueue. Verdicts are replied on ex; the bridge
-// re-enters routing with a nil exchange (its delivery connection already
-// got its answer), in which case verdicts are counted but sent nowhere.
-// sink, non-nil only on the bridge's burst path, batches reply
-// admission (see replySink).
-//
-// The forward leg is skim-first: a message in the stack's own canonical
-// wire form routes through the zero-allocation span scanner
-// (skimroute.go) without ever building a parse tree. Anything the skim
-// cannot prove safe — foreign or attributed header blocks, reference
-// properties, non-canonical framing or escapes — falls through,
-// transparently and with identical verdicts and wire output, to the
-// full parser below.
-func (d *Dispatcher) route(ex *httpx.Exchange, body []byte, sink *replySink) {
-	var sk wsa.Skim
-	if wsa.SkimEnvelope(body, &sk) {
-		d.routeSkim(ex, &sk, sink)
+// route is the CxThread body: load the posted message's view and route
+// it, replying verdicts on ex.
+func (d *Dispatcher) route(ex *httpx.Exchange) {
+	var v view
+	if err := v.load(ex.Req.Body); err != nil {
+		d.reject(ex, httpx.StatusBadRequest, soap.FaultClient, "invalid SOAP: "+err.Error())
 		return
 	}
-	env, err := soap.Parse(body)
-	if err != nil {
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusBadRequest, soap.FaultClient, "invalid SOAP: "+err.Error())
-		return
-	}
-	h, err := wsa.FromEnvelope(env)
-	if err != nil {
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusBadRequest, soap.FaultClient, "invalid WS-Addressing: "+err.Error())
-		return
-	}
+	d.routeView(ex, &v, nil)
+}
 
-	// "Responses from WSs are also treated like requests from clients."
-	// GetAndDelete makes the claim atomic: exactly one router owns the
-	// entry, so two copies of the same reply can never both deliver.
-	if h.RelatesTo != "" {
-		if entry, ok := d.pending.GetAndDelete(h.RelatesTo); ok {
-			if entry.expires.Before(d.cfg.Clock.Now()) {
-				d.Rejected.Inc()
-				d.fault(ex, httpx.StatusBadRequest, soap.FaultClient,
-					"reply arrived after pending state expired")
-				return
-			}
-			d.routeReply(ex, env, h, entry, sink)
+// Indices into view.fields, which follow wsa's canonical block order
+// (To, Action, MessageID, RelatesTo, From, ReplyTo, FaultTo).
+const (
+	fieldTo        = 0
+	fieldMessageID = 2
+	fieldRelatesTo = 3
+	fieldReplyTo   = 5
+)
+
+// view is one message as the routing leg reads it (see the package
+// doc). fields holds the WS-Addressing values, "" where absent; the
+// render source is body when the skim filled the view, env and h when
+// the parser did.
+type view struct {
+	version soap.Version
+	fields  [wsa.SkimFieldCount]string
+	body    []byte
+	env     *soap.Envelope
+	h       wsa.Headers
+}
+
+// load fills v from raw envelope bytes: the skim first, the parser only
+// on decline. Its error is a malformed envelope. A missing To is left as
+// an empty field: routeView refuses it, and the bridge synthesizes
+// addressing instead.
+func (v *view) load(raw []byte) error {
+	var sk wsa.Skim
+	if wsa.SkimEnvelope(raw, &sk) {
+		v.version, v.body = sk.Version, sk.Body
+		sk.Fields(&v.fields)
+		return nil
+	}
+	env, err := soap.Parse(raw)
+	if err != nil {
+		return err
+	}
+	v.version, v.env = env.Version, env
+	// FromEnvelope's only error is the missing To.
+	if h, err := wsa.FromEnvelope(env); err == nil {
+		v.setHeaders(h)
+	}
+	return nil
+}
+
+// setHeaders makes h the view's addressing: the parse source renders it,
+// and fields mirror it.
+func (v *view) setHeaders(h *wsa.Headers) {
+	v.h = *h
+	v.fields = [...]string{h.To, h.Action, h.MessageID, h.RelatesTo,
+		eprAddress(h.From), eprAddress(h.ReplyTo), eprAddress(h.FaultTo)}
+}
+
+func eprAddress(e *wsa.EPR) string {
+	if e == nil {
+		return ""
+	}
+	return e.Address
+}
+
+// render renders the message into a pooled buffer with To replaced by to
+// and, when replyTo is non-nil, ReplyTo by it — the only two fields a
+// routing leg rewrites. A parsed envelope may be mutated by the render,
+// so each view renders once.
+func (v *view) render(to string, replyTo *wsa.EPR) (*xmlsoap.Buffer, error) {
+	buf := xmlsoap.GetBuffer()
+	var b []byte
+	var err error
+	if v.env == nil {
+		fields := v.fields
+		fields[fieldTo] = to
+		if replyTo != nil {
+			fields[fieldReplyTo] = replyTo.Address
+		}
+		b, err = wsa.AppendSkimRewritten(buf.B, v.version, v.body, &fields)
+	} else {
+		h := v.h
+		h.To = to
+		if replyTo != nil {
+			h.ReplyTo = replyTo
+		}
+		b, err = wsa.AppendRewritten(buf.B, v.env, &h)
+	}
+	if err != nil {
+		xmlsoap.PutBuffer(buf)
+		return nil, err
+	}
+	buf.B = b
+	return buf, nil
+}
+
+// routeView classifies a loaded message as a reply or a request and
+// routes it. "Responses from WSs are also treated like requests from
+// clients": GetAndDelete makes the claim atomic, so exactly one router
+// owns a pending entry and two copies of one reply can never both
+// deliver. The claim probes with the aliased RelatesTo; cmap retains no
+// key it only reads. On the WsThread's bridge ex is nil (verdicts are
+// counted but sent nowhere) and sink batches reply admission (see
+// replySink).
+func (d *Dispatcher) routeView(ex *httpx.Exchange, v *view, sink *replySink) {
+	if v.fields[fieldTo] == "" {
+		d.reject(ex, httpx.StatusBadRequest, soap.FaultClient,
+			"invalid WS-Addressing: "+wsa.ErrMissingTo.Error())
+		return
+	}
+	if rel := v.fields[fieldRelatesTo]; rel != "" {
+		if entry, ok := d.pending.GetAndDelete(rel); ok {
+			d.routeReply(ex, v, entry, sink)
 			return
 		}
 		d.UnmatchedReplies.Inc()
 		// Fall through: a RelatesTo we never saw may still carry a
 		// routable To (peer-managed conversation state).
 	}
-	d.routeRequest(ex, env, h)
+	d.routeRequest(ex, v)
 }
 
 // routeRequest forwards a client message toward the destination service.
-func (d *Dispatcher) routeRequest(ex *httpx.Exchange, env *soap.Envelope, h *wsa.Headers) {
-	destURL := h.To
-	if logical, ok := strings.CutPrefix(h.To, LogicalScheme); ok {
+func (d *Dispatcher) routeRequest(ex *httpx.Exchange, v *view) {
+	destURL := v.fields[fieldTo]
+	if logical, ok := strings.CutPrefix(destURL, LogicalScheme); ok {
 		ep, err := d.registry.Resolve(logical)
 		if err != nil {
-			d.Rejected.Inc()
-			d.fault(ex, httpx.StatusNotFound, soap.FaultClient, err.Error())
+			d.reject(ex, httpx.StatusNotFound, soap.FaultClient, err.Error())
 			return
 		}
 		destURL = ep.URL
@@ -401,8 +488,7 @@ func (d *Dispatcher) routeRequest(ex *httpx.Exchange, env *soap.Envelope, h *wsa
 	// A message addressed to the dispatcher itself with no matching
 	// pending state would loop through the forwarder forever; refuse it.
 	if destURL == d.cfg.ReturnAddress {
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusBadRequest, soap.FaultClient,
+		d.reject(ex, httpx.StatusBadRequest, soap.FaultClient,
 			"message addressed to the dispatcher itself has no routable correlation")
 		return
 	}
@@ -413,35 +499,24 @@ func (d *Dispatcher) routeRequest(ex *httpx.Exchange, env *soap.Envelope, h *wsa
 	// instead of volunteering to receive replies we cannot route. An
 	// anonymous ReplyTo means the caller is RPC-style: it waits on its
 	// open HTTP connection for the correlated reply.
-	//
-	// The pending entry outlives this exchange by up to PendingTTL, so
-	// the MessageID key and the ReplyTo are detached: headers parsed
-	// from the request alias its body (the xmlsoap aliasing contract),
-	// and retaining them as-is would pin the whole buffer for minutes.
-	expectReply := h.MessageID != "" && h.ReplyTo != nil &&
-		h.ReplyTo.Address != "" && h.ReplyTo.Address != wsa.None
-	anonymous := expectReply && h.ReplyTo.Address == wsa.Anonymous
+	replyAddr := v.fields[fieldReplyTo]
+	expectReply := v.fields[fieldMessageID] != "" && replyAddr != "" && replyAddr != wsa.None
+	anonymous := expectReply && replyAddr == wsa.Anonymous
 	// The MessageID outlives this exchange twice over — as the
 	// pending-reply key (up to PendingTTL) and riding the queued
-	// outbound into the WsThread's bridge — while the parsed value
-	// aliases the pooled request body. One detached copy serves both.
-	msgID := strings.Clone(h.MessageID)
+	// outbound into the WsThread's bridge — while the view aliases the
+	// pooled request body. One detached copy serves both.
+	msgID := strings.Clone(v.fields[fieldMessageID])
 	var waiter *waiterSlot
-	// The rewrite is a shallow copy: untouched fields (Action,
-	// MessageID, From, ...) are shared read-only with h, and the two
-	// constant ReplyTo substitutions are prebuilt on the Dispatcher.
-	rewritten := *h
-	rewritten.To = destURL
+	replyTo := d.noneEPR
 	if expectReply {
 		entry := pendingReply{expires: d.cfg.Clock.Now().Add(d.cfg.PendingTTL)}
 		if anonymous {
-			// Anonymous replies rendezvous on a recycled slot; the
-			// original ReplyTo is never read on that path, so the
-			// detach is skipped. Anything already in the channel is a
-			// stale delivery from a previous life (nothing can address
-			// this registration before the Put below): drain it now so
-			// it cannot occupy the 1-slot channel against the genuine
-			// reply.
+			// Anonymous replies rendezvous on a recycled slot. Anything
+			// already in its channel is a stale delivery from a previous
+			// life (nothing can address this registration before the Put
+			// below): drain it now so it cannot occupy the 1-slot channel
+			// against the genuine reply.
 			waiter, _ = d.waiters.Get().(*waiterSlot)
 			if waiter == nil {
 				waiter = &waiterSlot{ch: make(chan anonReply, 1)}
@@ -451,68 +526,46 @@ func (d *Dispatcher) routeRequest(ex *httpx.Exchange, env *soap.Envelope, h *wsa
 				xmlsoap.PutBuffer(r.buf)
 			default:
 			}
-			entry.waiter = waiter
-			entry.wgen = waiter.gen
+			entry.waiter, entry.wgen = waiter, waiter.gen
 		} else {
-			entry.replyTo = h.ReplyTo.Detach()
+			entry.replyTo = strings.Clone(replyAddr)
 		}
 		d.pending.Put(msgID, entry)
-		rewritten.ReplyTo = d.selfEPR
-	} else {
-		rewritten.ReplyTo = d.noneEPR
+		replyTo = d.selfEPR
 	}
 
-	// Fused rewrite+render through the envelope-skeleton cache into a
-	// pooled buffer. The buffer travels with the queued message and is
-	// released by the WsThread after the delivery attempt (deliver or
-	// courier handoff).
-	buf := xmlsoap.GetBuffer()
-	b, err := wsa.AppendRewritten(buf.B, env, &rewritten)
-	if err != nil {
-		xmlsoap.PutBuffer(buf)
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
-		return
-	}
-	buf.B = b
-	d.admitForward(ex, buf, env.Version, destURL, msgID, expectReply, anonymous, waiter)
-}
-
-// admitForward is the render-independent tail of a forwarded request:
-// enqueue the rendered message toward destURL, roll back pending state
-// and fault on a full queue, then answer the exchange — holding it open
-// for anonymous-RPC callers. Both render paths (tree rewrite and skim
-// splice) converge here, so admission, rollback, and verdict semantics
-// cannot drift between them.
-func (d *Dispatcher) admitForward(ex *httpx.Exchange, buf *xmlsoap.Buffer, version soap.Version,
-	destURL, msgID string, expectReply, anonymous bool, waiter *waiterSlot) {
-	if !d.enqueue(outbound{
+	// The rendered buffer travels with the queued message and is released
+	// by the WsThread after the delivery attempt.
+	buf, err := v.render(destURL, replyTo)
+	if err == nil && d.enqueue(outbound{
 		payload:       buf,
-		version:       version,
+		version:       v.version,
 		toService:     true,
 		origMessageID: msgID,
 	}, destURL) {
-		xmlsoap.PutBuffer(buf)
-		if expectReply {
-			d.pending.Delete(msgID)
-			if waiter != nil {
-				d.recycleWaiter(waiter)
-			}
+		d.Accepted.Inc()
+		if anonymous {
+			d.awaitAnonymous(ex, msgID, waiter)
+			return
 		}
-		d.QueueDrops.Inc()
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
-			"destination queue full: "+destURL)
+		d.accepted(ex)
 		return
 	}
-	d.Accepted.Inc()
-	if anonymous {
-		d.awaitAnonymous(ex, msgID, waiter)
+	// Not admitted: roll the pending registration back.
+	if expectReply {
+		d.pending.Delete(msgID)
+		if waiter != nil {
+			d.recycleWaiter(waiter)
+		}
+	}
+	if err != nil {
+		d.reject(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
 		return
 	}
-	if ex != nil {
-		ex.ReplyBytes(httpx.StatusAccepted, nil)
-	}
+	xmlsoap.PutBuffer(buf)
+	d.QueueDrops.Inc()
+	d.reject(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
+		"destination queue full: "+destURL)
 }
 
 // awaitAnonymous holds the caller's connection until its reply arrives or
@@ -614,87 +667,61 @@ func (d *Dispatcher) putTimer(t *clock.Timer) {
 // routeReply forwards a service response to the original requester's
 // ReplyTo (client endpoint or mailbox), or hands it to a blocked
 // anonymous-RPC waiter. The delivering exchange (nil when the bridge
-// synthesized the reply) is acknowledged with 202. With a sink, the
-// forwarded leg defers its queue admission to the burst's batched flush
-// instead of paying one transaction here.
-func (d *Dispatcher) routeReply(ex *httpx.Exchange, env *soap.Envelope, h *wsa.Headers, entry pendingReply, sink *replySink) {
+// routes) is acknowledged with 202. With a sink, the forwarded leg
+// defers its queue admission to the burst's batched flush instead of
+// paying one transaction here.
+func (d *Dispatcher) routeReply(ex *httpx.Exchange, v *view, entry pendingReply, sink *replySink) {
+	if entry.expires.Before(d.cfg.Clock.Now()) {
+		d.reject(ex, httpx.StatusBadRequest, soap.FaultClient,
+			"reply arrived after pending state expired")
+		return
+	}
 	d.RepliesRouted.Inc()
+	// The waiter gets the reply as addressed; a forwarded reply is
+	// redirected at the original sender's ReplyTo.
+	to := entry.replyTo
 	if entry.waiter != nil {
-		// The waiter consumes the reply on another exchange's goroutine
-		// after this one's pooled body is released, so the envelope is
-		// rendered here — while its tree is still valid — into a pooled
-		// buffer whose ownership crosses with the channel send. h
-		// carries the reply's addressing (parsed from the wire or
-		// synthesized by the bridge), so this is the identity rewrite.
-		buf := xmlsoap.GetBuffer()
-		b, err := wsa.AppendRewritten(buf.B, env, h)
-		if err != nil {
-			xmlsoap.PutBuffer(buf)
-			d.Rejected.Inc()
-			d.fault(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
-			return
-		}
-		buf.B = b
-		d.deliverToWaiter(ex, buf, env.Version, entry)
-		return
+		to = v.fields[fieldTo]
 	}
-	rewritten := *h
-	rewritten.To = entry.replyTo.Address
-	buf := xmlsoap.GetBuffer()
-	b, err := wsa.AppendRewritten(buf.B, env, &rewritten)
+	// Rendered now, while the view's body is live: the waiter consumes
+	// the buffer on another exchange's goroutine, and ownership crosses
+	// with the channel send or the queued message.
+	buf, err := v.render(to, nil)
 	if err != nil {
-		xmlsoap.PutBuffer(buf)
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
+		d.reject(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
 		return
 	}
-	buf.B = b
-	d.forwardReply(ex, buf, env.Version, entry.replyTo.Address, sink)
-}
-
-// deliverToWaiter hands a rendered reply buffer to the blocked
-// anonymous-RPC waiter recorded in entry; ownership of buf crosses with
-// the channel send. Shared by the tree and skim render paths.
-func (d *Dispatcher) deliverToWaiter(ex *httpx.Exchange, buf *xmlsoap.Buffer, version soap.Version, entry pendingReply) {
-	// The reply is stamped with the registration's generation: if
-	// this send loses the race with the waiter's timeout and the
-	// slot's recycling, whoever owns the slot next refuses it by
-	// that stamp (see waiterSlot).
-	select {
-	case entry.waiter.ch <- anonReply{buf: buf, version: version, gen: entry.wgen}:
-		d.RepliesDelivered.Inc()
-	default:
-		// The waiter gave up (timeout); the reply is dropped
-		// exactly as a late RPC response would be.
-		xmlsoap.PutBuffer(buf)
-		d.DeliveryFailures.Inc()
-	}
-	d.accepted(ex)
-}
-
-// forwardReply admits a rendered reply toward addr — through the burst
-// sink when one is active, else with its own queue transaction. Shared
-// by the tree and skim render paths.
-func (d *Dispatcher) forwardReply(ex *httpx.Exchange, buf *xmlsoap.Buffer, version soap.Version, addr string, sink *replySink) {
-	if sink != nil {
+	msg := outbound{payload: buf, version: v.version}
+	switch {
+	case entry.waiter != nil:
+		// The reply is stamped with the registration's generation: if
+		// this send loses the race with the waiter's timeout and the
+		// slot's recycling, whoever owns the slot next refuses it by
+		// that stamp (see waiterSlot).
+		select {
+		case entry.waiter.ch <- anonReply{buf: buf, version: v.version, gen: entry.wgen}:
+			d.RepliesDelivered.Inc()
+		default:
+			// The waiter gave up (timeout); the reply is dropped
+			// exactly as a late RPC response would be.
+			xmlsoap.PutBuffer(buf)
+			d.DeliveryFailures.Inc()
+		}
+	case sink != nil:
 		// Deferred admission: the burst's bridged replies admit together
 		// through enqueueBatch when the sink flushes; Accepted and drop
-		// accounting happen there. The address is a detached copy (the
-		// pending entry's or the dispatcher's own), so holding it until
-		// the flush is safe.
-		sink.add(addr, outbound{payload: buf, version: version})
-		d.accepted(ex)
-		return
-	}
-	if !d.enqueue(outbound{payload: buf, version: version}, addr) {
+		// accounting happen there. to is the pending entry's detached
+		// copy, so holding it until the flush is safe.
+		sink.add(to, msg)
+	case d.enqueue(msg, to):
+		d.Accepted.Inc()
+	default:
 		xmlsoap.PutBuffer(buf)
 		d.QueueDrops.Inc()
-		d.Rejected.Inc()
-		d.fault(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
-			"reply queue full: "+addr)
+		d.reject(ex, httpx.StatusServiceUnavailable, soap.FaultServer,
+			"reply queue full: "+to)
 		return
 	}
-	d.Accepted.Inc()
 	d.accepted(ex)
 }
 
@@ -725,8 +752,14 @@ func (d *Dispatcher) SweepPending() int {
 // PendingLen reports retained reply-routing entries (for tests/metrics).
 func (d *Dispatcher) PendingLen() int { return d.pending.Len() }
 
+// reject counts a refused message and answers ex with the fault.
+func (d *Dispatcher) reject(ex *httpx.Exchange, status int, code, reason string) {
+	d.Rejected.Inc()
+	d.fault(ex, status, code, reason)
+}
+
 // fault answers ex with a SOAP 1.1 fault; on the bridge's exchange-less
-// re-entry (ex nil) the verdict was already counted and goes nowhere.
+// routing (ex nil) the verdict was already counted and goes nowhere.
 func (d *Dispatcher) fault(ex *httpx.Exchange, status int, code, reason string) {
 	if ex == nil {
 		return

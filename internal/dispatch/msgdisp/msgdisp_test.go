@@ -250,7 +250,7 @@ func TestSweepPendingExpires(t *testing.T) {
 	}
 	// Seed an entry that will never get a reply.
 	r.disp.pending.Put("urn:uuid:orphan", pendingReply{
-		replyTo: &wsa.EPR{Address: "http://cli:90/msg"},
+		replyTo: "http://cli:90/msg",
 		expires: r.clk.Now().Add(time.Minute),
 	})
 	if n := r.disp.SweepPending(); n != 0 {

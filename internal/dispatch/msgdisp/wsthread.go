@@ -183,29 +183,26 @@ func (d *Dispatcher) flushSink(sink *replySink) {
 // while MSG-Dispatcher + WS-MsgBox (whose reply deliveries are fast) is
 // the fastest.
 //
-// When the thread wakes to more than one queued message it drains a
-// bounded burst (BatchMax) in one pass: one queued-count update, one
+// Each wake drains whatever is queued, up to BatchMax, as one burst (a
+// lone message is a burst of one): one queued-count update, one
 // WsWorkers slot, one pipelined vectored delivery over the held
-// connection, and one HoldOpen re-arm for the whole burst — the
-// amortization ROADMAP item 1 asked for.
+// connection, and one HoldOpen re-arm for the whole burst.
 func (d *Dispatcher) wsThread(dq *destQueue) {
 	// The destination binding IS the paper's held connection: one
 	// httpx.Stream pins a connection to this destination for the
 	// binding's life, so consecutive queued messages pipeline over it
-	// without a round trip through the client's idle pool, and one
-	// request struct is reused across every delivery. Closing the
+	// without a round trip through the client's idle pool, and the
+	// request structs are reused across every burst. Closing the
 	// stream on unbind parks a healthy connection back in the shared
 	// pool for the next binding.
 	var (
 		stream *httpx.Stream
 		path   string
-		req    httpx.Request
-		// Burst scratch, allocated once per binding on first use: the
-		// drained messages, the reusable request structs they are
-		// rendered through, and the bridged-reply sink.
+		// Burst scratch, allocated once per binding as bursts first need
+		// it: the drained messages, the reusable request structs they
+		// are rendered through, and the bridged-reply sink.
 		batch []outbound
-		reqs  []httpx.Request
-		refs  []*httpx.Request
+		reqs  []*httpx.Request
 		sink  replySink
 	)
 	if addr, p, err := httpx.SplitURL(dq.url); err == nil {
@@ -247,19 +244,11 @@ func (d *Dispatcher) wsThread(dq *destQueue) {
 			dq.mu.Lock()
 			dq.queued -= len(batch)
 			dq.mu.Unlock()
-			d.wsSlots <- struct{}{}
-			if len(batch) == 1 {
-				d.deliver(dq.url, stream, path, &req, batch[0])
-			} else {
-				if reqs == nil {
-					reqs = make([]httpx.Request, d.cfg.BatchMax)
-					refs = make([]*httpx.Request, d.cfg.BatchMax)
-					for i := range reqs {
-						refs[i] = &reqs[i]
-					}
-				}
-				d.deliverBatch(dq, stream, path, refs[:len(batch)], batch, &sink)
+			for len(reqs) < len(batch) {
+				reqs = append(reqs, new(httpx.Request))
 			}
+			d.wsSlots <- struct{}{}
+			d.deliverBatch(dq, stream, path, reqs[:len(batch)], batch, &sink)
 			<-d.wsSlots
 			// Re-arm the full hold-open window — once per burst, not per
 			// message — draining a stale fire first so it cannot satisfy
@@ -295,44 +284,17 @@ func (d *Dispatcher) wsThread(dq *destQueue) {
 	}
 }
 
-// deliver posts one message to its destination over the binding's
-// stream and records the outcome. A synchronous SOAP response from an
-// RPC-style destination is bridged back into the message flow. req is
-// the binding's reusable request struct (deliver fully re-initializes
-// it); a nil stream means the destination URL never parsed.
-func (d *Dispatcher) deliver(destURL string, stream *httpx.Stream, path string, req *httpx.Request, msg outbound) {
-	if stream == nil {
-		d.DeliveryFailures.Inc()
-		xmlsoap.PutBuffer(msg.payload)
-		return
-	}
-	start := d.cfg.Clock.Now()
-	req.Reset()
-	req.Method, req.Path, req.Proto = "POST", path, "HTTP/1.1"
-	req.Body = msg.payload.B
-	req.Header.Set("Content-Type", msg.version.ContentType())
-	resp, err := stream.DoTimeout(req, d.cfg.DeliveryTimeout)
-	if err != nil {
-		d.failDelivery(destURL, msg)
-		return
-	}
-	// The response body (when any) is a pooled buffer owned by this
-	// delivery; it is released once settleDelivery — whose bridge parses
-	// it in place and detaches or re-renders everything it keeps — is
-	// done.
-	d.settleDelivery(destURL, msg, resp, start, nil)
-	resp.Release()
-}
-
 // deliverBatch posts a burst of same-destination messages over the
 // binding's stream as one pipelined, vectored write (Stream.DoBatch) and
-// settles the responses in pipeline order. Error isolation: messages
-// whose responses arrived are fully settled; on a mid-batch failure the
-// unanswered tail is requeued in FIFO order for a fresh attempt rather
-// than dropped, and a batch that failed whole (nothing answered) takes
-// the same per-message failure path — courier fallback included — that
-// deliver would. Bridged replies produced while settling collect in sink
-// and admit in batched queue transactions once the burst is done.
+// settles the responses in pipeline order; a one-message burst is a
+// plain exchange (DoBatch degrades to DoTimeout). Error isolation:
+// messages whose responses arrived are fully settled; on a mid-batch
+// failure the unanswered tail is requeued in FIFO order for a fresh
+// attempt rather than dropped, and a batch that failed whole (nothing
+// answered) takes the per-message failure path, courier fallback
+// included. Bridged replies produced while settling collect in sink and
+// admit in batched queue transactions once the burst is done. The
+// settle callback does not escape DoBatch, so it costs no allocation.
 func (d *Dispatcher) deliverBatch(dq *destQueue, stream *httpx.Stream, path string, reqs []*httpx.Request, msgs []outbound, sink *replySink) {
 	if stream == nil {
 		for i := range msgs {
@@ -358,8 +320,8 @@ func (d *Dispatcher) deliverBatch(dq *destQueue, stream *httpx.Stream, path stri
 	}
 	if done == 0 {
 		// Nothing was answered (and, after DoBatch's one retry, nothing
-		// will be): the whole burst failed the way a single delivery
-		// fails — count, hand to the courier, release.
+		// will be): every message fails — count, hand to the courier,
+		// release.
 		for i := range msgs {
 			d.failDelivery(dq.url, msgs[i])
 		}
@@ -377,9 +339,8 @@ func (d *Dispatcher) deliverBatch(dq *destQueue, stream *httpx.Stream, path stri
 }
 
 // settleDelivery records the outcome of one answered delivery and
-// releases the message's payload. Shared by the single-message and burst
-// paths; sink, when non-nil, defers bridged-reply admission to the
-// burst's batched flush.
+// releases the message's payload; bridged-reply admission is deferred to
+// the burst's sink.
 func (d *Dispatcher) settleDelivery(destURL string, msg outbound, resp *httpx.Response, start time.Time, sink *replySink) {
 	defer xmlsoap.PutBuffer(msg.payload)
 	if resp.Status >= 300 {
@@ -427,16 +388,19 @@ func (d *Dispatcher) failDelivery(destURL string, msg outbound) {
 
 // bridgeRPCResponse handles a destination that answered on the delivery
 // connection instead of posting a separate reply message: an RPC-based
-// service behind the MSG-Dispatcher (Table 1 quadrant 3). The response
-// envelope is stamped with RelatesTo = the original MessageID and pushed
-// back through normal routing so it reaches the requester's ReplyTo or a
-// blocked anonymous waiter.
+// service behind the MSG-Dispatcher (Table 1 quadrant 3). The response is
+// loaded like any inbound message. A fully addressed reply (To and
+// RelatesTo) is routed as if it had been posted to us; anything else is
+// given synthesized reply addressing — To the dispatcher, a fresh
+// MessageID, RelatesTo the original MessageID — in place of whatever
+// headers it carried, and handed to reply routing so it reaches the
+// requester's ReplyTo or a blocked anonymous waiter.
 //
 // body is the delivery response's pooled buffer, valid only until the
 // settle path releases it on return; everything routed onward is
 // rendered into its own buffer or detached, exactly as for an inbound
-// request. sink, when non-nil, batches the admission of routed replies
-// (see replySink).
+// request. Routing runs with no exchange — the delivery connection
+// already has its answer.
 func (d *Dispatcher) bridgeRPCResponse(msg outbound, body []byte, sink *replySink) {
 	if msg.origMessageID == "" {
 		return
@@ -444,85 +408,14 @@ func (d *Dispatcher) bridgeRPCResponse(msg outbound, body []byte, sink *replySin
 	if _, waiting := d.pending.Get(msg.origMessageID); !waiting {
 		return // nobody expects a reply; discard like any one-way ack
 	}
-	// Skim-first, like the inbound leg: an RPC service fronted by this
-	// stack answers in canonical form, so the steady-state bridge never
-	// parses either — the response body span is spliced under the
-	// synthesized correlation headers with zero parse allocations.
-	var sk wsa.Skim
-	if wsa.SkimEnvelope(body, &sk) {
-		d.bridgeSkim(msg, &sk, sink)
-		return
-	}
-	env, err := soap.Parse(body)
-	if err != nil {
+	var v view
+	if v.load(body) != nil {
 		return // not a SOAP payload; plain 200 ack
 	}
-	// Already a fully addressed reply (To and a non-empty RelatesTo):
-	// route it as if it had been posted to us (with no exchange — the
-	// delivery connection already has its answer). The header probe is
-	// direct rather than through wsa.FromEnvelope: the steady-state
-	// bridge response is a plain RPC body with no addressing at all, and
-	// FromEnvelope would allocate a Headers just to report that.
-	if rel := env.HeaderBlock(wsa.NS, "RelatesTo"); rel != nil && rel.Text != "" {
-		if to := env.HeaderBlock(wsa.NS, "To"); to != nil && to.Text != "" {
-			d.route(nil, body, sink)
-			return
-		}
-	}
-	// Plain RPC response without addressing: synthesize reply headers
-	// around its body and hand it straight to reply routing — the
-	// steady-state bridge path. GetAndDelete claims the entry atomically,
-	// so a concurrent router of the same correlation ID cannot also win.
-	entry, ok := d.pending.GetAndDelete(msg.origMessageID)
-	if !ok {
-		d.UnmatchedReplies.Inc()
+	if v.fields[fieldTo] != "" && v.fields[fieldRelatesTo] != "" {
+		d.routeView(nil, &v, sink)
 		return
 	}
-	if entry.expires.Before(d.cfg.Clock.Now()) {
-		d.Rejected.Inc()
-		return
-	}
-	// The synthesized reply envelope and headers are per-bridge scratch
-	// (everything routeReply does with them — the AppendRewritten
-	// render — completes before it returns, so nothing retains them);
-	// only the fresh MessageID string is allocated per bridged reply.
-	sc, _ := d.bridgeScratch.Get().(*bridgeState)
-	if sc == nil {
-		sc = &bridgeState{}
-	}
-	sc.env = soap.Envelope{Version: env.Version, Body: env.Body}
-	sc.h = wsa.Headers{
-		To:        d.cfg.ReturnAddress,
-		MessageID: wsa.NewMessageID(),
-		RelatesTo: msg.origMessageID,
-	}
-	// No Apply: both routeReply legs render through wsa.AppendRewritten,
-	// which splices the headers into the output in place of whatever
-	// WS-Addressing headers the envelope carries, so the wire reply the
-	// blocked caller correlates on carries this RelatesTo without
-	// building header elements that would be rendered once and thrown
-	// away.
-	d.routeReply(nil, &sc.env, &sc.h, entry, sink)
-	sc.env = soap.Envelope{}
-	sc.h = wsa.Headers{}
-	d.bridgeScratch.Put(sc)
-}
-
-// bridgeSkim is bridgeRPCResponse's skim leg: the same
-// already-addressed probe and synthesized-correlation fallback, driven
-// by spans. A skimmed header block always carries a non-empty value, so
-// span presence is exactly the parse path's "block present with
-// non-empty text" probe.
-func (d *Dispatcher) bridgeSkim(msg outbound, sk *wsa.Skim, sink *replySink) {
-	// Already a fully addressed reply (To and RelatesTo): route it as if
-	// it had been posted to us, with no exchange — the delivery
-	// connection already has its answer.
-	if len(sk.RelatesTo) > 0 && len(sk.To) > 0 {
-		d.routeSkim(nil, sk, sink)
-		return
-	}
-	// Plain RPC response without (full) addressing: synthesize reply
-	// correlation around its body span and hand it to reply routing.
 	// GetAndDelete claims the entry atomically, so a concurrent router
 	// of the same correlation ID cannot also win.
 	entry, ok := d.pending.GetAndDelete(msg.origMessageID)
@@ -530,25 +423,13 @@ func (d *Dispatcher) bridgeSkim(msg outbound, sk *wsa.Skim, sink *replySink) {
 		d.UnmatchedReplies.Inc()
 		return
 	}
-	if entry.expires.Before(d.cfg.Clock.Now()) {
-		d.Rejected.Inc()
-		return
+	if v.env != nil {
+		v.env.Header = nil // the synthesized addressing replaces every block
 	}
-	// Only To, MessageID, and RelatesTo, matching the parse bridge: the
-	// response's own headers (if any) are dropped from the routed reply.
-	var fields [wsa.SkimFieldCount]string
-	fields[0] = d.cfg.ReturnAddress
-	fields[2] = wsa.NewMessageID()
-	fields[3] = msg.origMessageID
-	d.routeReplyFields(nil, sk.Version, sk.Body, &fields, entry, sink)
-}
-
-// bridgeState is the reusable scratch of one synthesized bridge reply:
-// the envelope wrapped around the RPC response body and the addressing
-// headers routeReply renders from. Both are dead once routeReply
-// returns, so the scratch recycles through a pool keyed to nothing
-// longer than the call.
-type bridgeState struct {
-	env soap.Envelope
-	h   wsa.Headers
+	v.setHeaders(&wsa.Headers{
+		To:        d.cfg.ReturnAddress,
+		MessageID: wsa.NewMessageID(),
+		RelatesTo: msg.origMessageID,
+	})
+	d.routeReply(nil, &v, entry, sink)
 }

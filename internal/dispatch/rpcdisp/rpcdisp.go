@@ -212,8 +212,7 @@ func (d *Dispatcher) validate(ex *httpx.Exchange) bool {
 	return false
 }
 
-
-// WSDLFor returns a WSDL-ish directory page: the browseable service list
+// DirectoryPage returns a WSDL-ish directory page: the browseable service list
 // the paper imagines for the registry ("a simple browseable list of WSDL
 // files with metadata"). Mounted by the core server at /registry.
 func DirectoryPage(reg *registry.Registry) []byte {

@@ -304,4 +304,3 @@ func (s *Async) reply(env *soap.Envelope, h *wsa.Headers, release func()) {
 	}
 	s.RepliesSent.Inc()
 }
-

@@ -59,11 +59,11 @@ func FuzzHead(f *testing.F) {
 		// Exactly-one-terminator trimming: the seed parser's
 		// TrimRight(line, "\r\n") also ate data bytes, so these inputs
 		// diverged from the fixed grammar and are pinned as seeds.
-		"GET / HTTP/1.1\r\r\n\r\n",                       // proto keeps its trailing '\r'
-		"HTTP/1.1 200 OK\r\r\n\r\n",                      // reason keeps its trailing '\r'
-		"POST / HTTP/1.1\r\nX-A: v\r\r\n\r\n",            // value '\r' removed by TrimSpace, not by line trimming
-		"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\r\n\r\nab", // "\r\r\n" is a malformed header line, not end of head
-		"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\r\n\r\n", // "\r" trailer line does not end the trailer
+		"GET / HTTP/1.1\r\r\n\r\n",                                                    // proto keeps its trailing '\r'
+		"HTTP/1.1 200 OK\r\r\n\r\n",                                                   // reason keeps its trailing '\r'
+		"POST / HTTP/1.1\r\nX-A: v\r\r\n\r\n",                                         // value '\r' removed by TrimSpace, not by line trimming
+		"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\r\n\r\nab",                        // "\r\r\n" is a malformed header line, not end of head
+		"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\r\n\r\n",        // "\r" trailer line does not end the trailer
 		"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\r\nab\r\n0\r\n\r\n", // chunk-size line with stray '\r'
 		// Header-name canonicalization territory: duplicate keys across
 		// casings, non-ASCII bytes near case-mapping special cases.

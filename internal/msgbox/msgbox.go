@@ -532,7 +532,6 @@ func rpcOK(ex *httpx.Exchange, v soap.Version, op string, params ...soap.Param) 
 	ex.Header().Set("Content-Type", v.ContentType())
 }
 
-
 // randomID returns n bytes of entropy, hex-encoded: the "unique hard to
 // guess address" of the paper plus capability tokens.
 func randomID(n int) string {

@@ -39,6 +39,22 @@ func waitPool(t *testing.T, baseline int64) {
 	t.Fatalf("PoolLive = %d, want baseline %d", xmlsoap.PoolLive(), baseline)
 }
 
+// settledPoolLive samples PoolLive once three readings a millisecond
+// apart agree, so connection goroutines still swapping or releasing
+// buffers do not set the baseline.
+func settledPoolLive() int64 {
+	live, same := xmlsoap.PoolLive(), 0
+	for i := 0; i < 1000 && same < 2; i++ {
+		time.Sleep(time.Millisecond)
+		if cur := xmlsoap.PoolLive(); cur == live {
+			same++
+		} else {
+			live, same = cur, 0
+		}
+	}
+	return live
+}
+
 func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
@@ -50,7 +66,8 @@ func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 	po := nw.AddHost("po", netsim.ProfileLAN())
 	cli := nw.AddHost("cli", netsim.ProfileLAN())
 	dir := filepath.Join(t.TempDir(), "mbox.wal")
-	baseline := xmlsoap.PoolLive()
+	// Earlier tests' connections may still be releasing buffers.
+	baseline := settledPoolLive()
 
 	openStore := func() *store.Store {
 		t.Helper()
@@ -143,11 +160,14 @@ func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 	// Generation 3: the destroy was durable — nothing comes back.
 	st3 := openStore()
 	r3, stop3 := run(st3)
-	defer stop3()
 	if r3.svc.Boxes() != 0 {
+		stop3()
 		t.Fatalf("Boxes after destroy + restart = %d, want 0", r3.svc.Boxes())
 	}
 	if n := st3.Len(); n != 0 {
+		stop3()
 		t.Fatalf("store still holds %d records after destroy", n)
 	}
+	stop3()
+	waitPool(t, baseline)
 }

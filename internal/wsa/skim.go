@@ -29,13 +29,8 @@ import (
 // the parsed tree at the skeleton's captured splice state. Declining is
 // always safe (the caller falls back to soap.Parse); accepting anything
 // the parser would reject, or anything whose re-render differs, is a
-// bug fenced by FuzzSkimDifferential.
-//
-// Spans returned in a Skim alias the input buffer. For dispatcher
-// traffic that buffer is pooled: a span is valid only until the
-// exchange's owner releases it, and any value that outlives the
-// exchange (a pending-table key, a detached ReplyTo) must be copied
-// out first, exactly as the parse path's aliasing contract demands.
+// bug fenced by FuzzSkimDifferential. The package doc states the
+// contract callers rely on, span aliasing included.
 
 // Skim holds the spans extracted from one canonical envelope. Header
 // fields are nil when the block is absent; EPR fields (From, ReplyTo,

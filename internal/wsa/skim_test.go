@@ -233,10 +233,10 @@ func TestSkimDeclines(t *testing.T) {
 		"self-closed-header":    hdr(`<wsa:To xmlns:wsa="` + NS + `"/>`),
 		"epr-with-properties": hdr(`<wsa:ReplyTo xmlns:wsa="` + NS + `"><wsa:Address>urn:a</wsa:Address>` +
 			`<wsa:ReferenceProperties><k>v</k></wsa:ReferenceProperties></wsa:ReplyTo>`),
-		"trailing-junk":  wrap(`<ns1:op xmlns:ns1="urn:e">x</ns1:op>`) + "x",
-		"truncated":      wrap(`<ns1:op xmlns:ns1="urn:e">x</ns1:op>`)[:60],
+		"trailing-junk":   wrap(`<ns1:op xmlns:ns1="urn:e">x</ns1:op>`) + "x",
+		"truncated":       wrap(`<ns1:op xmlns:ns1="urn:e">x</ns1:op>`)[:60],
 		"carriage-return": wrap("<ns1:op xmlns:ns1=\"urn:e\">a\rb</ns1:op>"),
-		"non-ascii-text": wrap(`<ns1:op xmlns:ns1="urn:e">héllo</ns1:op>`),
+		"non-ascii-text":  wrap(`<ns1:op xmlns:ns1="urn:e">héllo</ns1:op>`),
 	}
 	for name, raw := range cases {
 		var sk Skim
@@ -268,17 +268,41 @@ func TestSkimDepthCap(t *testing.T) {
 }
 
 func skimStandardEnvelope(t testing.TB) []byte {
+	return skimEnvelopeWithBody(t, xmlsoap.New("urn:wsd:echo", "echo").Add(xmlsoap.NewText("", "message", "steady")))
+}
+
+// skimEnvelopeWithBody is the standard envelope's addressing around body.
+func skimEnvelopeWithBody(t testing.TB, body *xmlsoap.Element) []byte {
 	env := soap.New(soap.V11).
 		AddHeader(xmlsoap.NewText(NS, "To", "wsd://echo-rpc")).
 		AddHeader(xmlsoap.NewText(NS, "Action", "urn:wsd:echo/echo")).
 		AddHeader(xmlsoap.NewText(NS, "MessageID", "urn:uuid:6ba7b810-9dad-11d1-80b4-00c04fd430c8")).
 		AddHeader((&EPR{Address: Anonymous}).Element("ReplyTo")).
-		SetBody(xmlsoap.New("urn:wsd:echo", "echo").Add(xmlsoap.NewText("", "message", "steady")))
+		SetBody(body)
 	raw, err := MarshalEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// skimBenchEnvelope is one input of the skim-vs-parse benchmarks.
+type skimBenchEnvelope struct {
+	name string
+	raw  []byte
+}
+
+// skimBenchEnvelopes are the standard dispatcher envelope and one whose
+// body is 64 KiB of alphanumeric text — the top of the msg-reply
+// workload's log-uniform body-size range, where the byte-at-a-time scan
+// competes with the parser's bulk text handling.
+func skimBenchEnvelopes(t testing.TB) []skimBenchEnvelope {
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+	text := strings.Repeat(alphabet, 64<<10/len(alphabet)+1)[:64<<10]
+	return []skimBenchEnvelope{
+		{"standard", skimStandardEnvelope(t)},
+		{"body=64KiB", skimEnvelopeWithBody(t, xmlsoap.NewText("urn:wsd:echo", "echo", text))},
+	}
 }
 
 // TestSkimZeroAlloc is the tentpole's core gate: scanning plus the
@@ -312,14 +336,17 @@ func TestSkimZeroAlloc(t *testing.T) {
 
 // BenchmarkSkim measures the scanner alone on the standard envelope.
 func BenchmarkSkim(b *testing.B) {
-	raw := skimStandardEnvelope(b)
-	var sk Skim
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !SkimEnvelope(raw, &sk) {
-			b.Fatal("declined")
-		}
+	for _, e := range skimBenchEnvelopes(b) {
+		b.Run(e.name, func(b *testing.B) {
+			var sk Skim
+			b.SetBytes(int64(len(e.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !SkimEnvelope(e.raw, &sk) {
+					b.Fatal("declined")
+				}
+			}
+		})
 	}
 }
 
@@ -350,26 +377,29 @@ func BenchmarkSkimRewrite(b *testing.B) {
 // BenchmarkParseRewrite is the same leg through the tree path, for the
 // skim-vs-parse ratio the bench snapshot records.
 func BenchmarkParseRewrite(b *testing.B) {
-	raw := skimStandardEnvelope(b)
-	buf := make([]byte, 0, 4096)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env, err := soap.Parse(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := FromEnvelope(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rewritten := *h
-		rewritten.To = "http://backend:9000/echo"
-		rewritten.ReplyTo = &EPR{Address: "http://wsd:9100/msg"}
-		out, err := AppendRewritten(buf[:0], env, &rewritten)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = out[:0]
+	for _, e := range skimBenchEnvelopes(b) {
+		b.Run(e.name, func(b *testing.B) {
+			buf := make([]byte, 0, 4096)
+			b.SetBytes(int64(len(e.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env, err := soap.Parse(e.raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h, err := FromEnvelope(env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rewritten := *h
+				rewritten.To = "http://backend:9000/echo"
+				rewritten.ReplyTo = &EPR{Address: "http://wsd:9100/msg"}
+				out, err := AppendRewritten(buf[:0], env, &rewritten)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = out[:0]
+			}
+		})
 	}
 }

@@ -8,6 +8,54 @@
 // replaced with the dispatcher's own endpoint, so the service's reply
 // (carrying RelatesTo) comes back through the dispatcher, which can then
 // deliver it to the real client or to its WS-MsgBox mailbox.
+//
+// # The zero-parse forward path
+//
+// SkimEnvelope scans a raw envelope once and yields a Skim: spans for the
+// seven WS-Addressing fields (To, Action, MessageID, RelatesTo, From,
+// ReplyTo, FaultTo; EPR fields carry the Address text) and the body
+// content, with zero allocations. AppendSkimRewritten splices replacement
+// field values and the body span through the same soap.Skeleton cache
+// AppendRewritten uses. The MSG-Dispatcher's routing view and the
+// RPC-Dispatcher's validation try the skim first. The contract:
+//
+//   - Canonical form only. The skim accepts exactly the stack's own
+//     serializer output shape: the exact prolog and envelope framing,
+//     attribute-less known WS-Addressing header blocks (EPRs as a lone
+//     <wsa:Address> child), canonical escapes, and declared prefixes it
+//     can simulate with fixed-size state. Anything else — foreign or
+//     attributed header blocks, reference properties, entities, CDATA,
+//     comments or PIs in skimmed regions, non-canonical whitespace,
+//     framing or escape spellings — is a conservative decline, never a
+//     guess. Accepting a byte string soap.Parse rejects is a fuzz
+//     failure, not a judgment call.
+//   - Declines are invisible. A declined envelope falls back to
+//     soap.Parse and FromEnvelope, and the caller must reach identical
+//     verdicts either way: same fault strings, HTTP statuses, counters
+//     and forwarded wire bytes. The MSG-Dispatcher gets this by
+//     construction — each routing leg is written once against a view
+//     either front end fills — and TestRoutingFrontEndsAgree in msgdisp
+//     checks it verdict by verdict.
+//   - Span aliasing. Every Skim span aliases the scanned buffer (for
+//     dispatcher traffic, the pooled request body), under the same
+//     lifetime rules as parse trees: valid only while the body is live.
+//     Anything retained past the routing pass is detached first —
+//     pending-table keys, stored reply addresses, queued message IDs.
+//     Transient map probes may use xmlsoap.ZeroCopyString views but must
+//     not store them. The pool checker (xmlsoap.EnablePoolCheck) polices
+//     violations.
+//   - Fences. FuzzSkimDifferential requires every accepted input to agree
+//     with the parser on all seven values and to splice a rewrite
+//     byte-identical to AppendRewritten's; its seeds also run under the
+//     race detector with pool checking. TestSkimZeroAlloc holds scan plus
+//     splice at zero allocations, and msgdisp's
+//     TestRoundTripSteadyStateAllocs budgets a whole canonical exchange
+//     (≤7 allocations) and pins the parse fallback's count. BenchmarkSkim,
+//     BenchmarkSkimRewrite and BenchmarkParseRewrite ride CI's bench
+//     smoke; Skim and ParseRewrite also run a 64 KiB body, where the
+//     byte-at-a-time scan costs more than the parse. Change what the skim
+//     accepts only together with the fuzz seeds and the parser: the
+//     differential property is the contract.
 package wsa
 
 import (
@@ -155,7 +203,7 @@ func (h *Headers) Apply(env *soap.Envelope) {
 // FromEnvelope extracts WS-Addressing headers. To is mandatory per the
 // specification; everything else is optional.
 func FromEnvelope(env *soap.Envelope) (*Headers, error) {
-	h := &Headers{}
+	var h Headers
 	for _, block := range env.Header {
 		if block.Name.Space != NS {
 			continue
@@ -180,7 +228,10 @@ func FromEnvelope(env *soap.Envelope) (*Headers, error) {
 	if h.To == "" {
 		return nil, ErrMissingTo
 	}
-	return h, nil
+	// Copied out only on success, so the error path allocates nothing:
+	// the MSG-Dispatcher's bridge probes unaddressed RPC responses here.
+	out := h
+	return &out, nil
 }
 
 // IsReply reports whether the headers mark the message as a reply (it

@@ -73,10 +73,10 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 }
 END {
     # Derived row: the skim-vs-parse hot-leg ratio (scan+splice over
-    # parse+rewrite, same envelope). Below 1.0 the skim is winning.
-    if (nsByName["SkimRewrite"] != "" && nsByName["ParseRewrite"] != "")
+    # parse+rewrite, same standard envelope). Below 1.0 the skim is winning.
+    if (nsByName["SkimRewrite"] != "" && nsByName["ParseRewrite/standard"] != "")
         rows[++n] = sprintf("    \"SkimVsParseRatio\": {\"ratio\": %.3f}",
-            nsByName["SkimRewrite"] / nsByName["ParseRewrite"])
+            nsByName["SkimRewrite"] / nsByName["ParseRewrite/standard"])
     printf "{\n"
     printf "  \"snapshot\": \"pr10-durable-wal\",\n"
     printf "  \"date\": \"%s\",\n", date
