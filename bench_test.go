@@ -489,58 +489,6 @@ func BenchmarkAblationRegistry(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryXML compares the text SOAP wire format against the
-// binary XML extension the paper proposes as future work (§2), on a
-// fully addressed echo envelope: bytes on the wire and codec speed.
-func BenchmarkBinaryXML(b *testing.B) {
-	env := soap.New(soap.V11).SetBody(xmlsoap.NewText(echoservice.EchoNS, "echo", "payload"))
-	(&wsa.Headers{
-		To:        "logical:echo",
-		Action:    "urn:echo",
-		MessageID: wsa.NewMessageID(),
-		ReplyTo:   &wsa.EPR{Address: "http://client:90/msg"},
-	}).Apply(env)
-	tree := env.Tree()
-	text, err := xmlsoap.Marshal(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bin, err := xmlsoap.MarshalBinary(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("text-encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlsoap.Marshal(tree); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(text)), "wire-bytes")
-	})
-	b.Run("binary-encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlsoap.MarshalBinary(tree); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(bin)), "wire-bytes")
-	})
-	b.Run("text-decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlsoap.Parse(text); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary-decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xmlsoap.UnmarshalBinary(bin); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSOAPCodec measures envelope marshal/parse — the per-message
 // XML cost every hop pays (XSUL's wrapping/unwrapping).
 func BenchmarkSOAPCodec(b *testing.B) {

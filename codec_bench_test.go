@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,22 +183,22 @@ func BenchmarkRoundTrip(b *testing.B) {
 // BenchmarkReadHead measures one HTTP request read — head parse plus
 // body framing — end to end over an in-memory reader: the unit every
 // dispatch hop pays on both sides of a connection. "pooled" is the
-// in-place parser reading into a pooled head+body buffer (steady state:
-// one allocation, the *Request itself); "refhead" is the frozen
-// map-based seed parser kept as the FuzzHead oracle. Run without the
-// poolcheck tag for representative numbers — poison scans dominate
-// otherwise.
+// in-place parser reading into a pooled head+body buffer through a
+// reused struct, as the server and client do (steady state: no
+// allocation); "refhead" is the frozen map-based seed parser kept as the
+// FuzzHead oracle. Run without the poolcheck tag for representative
+// numbers — poison scans dominate otherwise.
 func BenchmarkReadHead(b *testing.B) {
 	raw := []byte("POST /msg HTTP/1.1\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: 7\r\nHost: wsd:9100\r\n\r\n<soap/>")
 	src := bytes.NewReader(raw)
 	br := bufio.NewReader(src)
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
+		var req httpx.Request
 		for i := 0; i < b.N; i++ {
 			src.Reset(raw)
 			br.Reset(src)
-			req, err := httpx.ReadRequestPooled(br)
-			if err != nil {
+			if err := httpx.ReadRequestInto(br, &req); err != nil {
 				b.Fatal(err)
 			}
 			req.Release()
@@ -285,15 +287,9 @@ func BenchmarkServeConnPipelined(b *testing.B) {
 	defer local.Close()
 
 	const batch = 16
-	var reqBytes bytes.Buffer
-	req := httpx.NewRequest("POST", "/echo", []byte("<soap:Envelope>ping</soap:Envelope>"))
-	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
-	for i := 0; i < batch; i++ {
-		if err := req.Encode(&reqBytes); err != nil {
-			b.Fatal(err)
-		}
-	}
-	blob := reqBytes.Bytes()
+	const body = "<soap:Envelope>ping</soap:Envelope>"
+	blob := []byte(strings.Repeat("POST /echo HTTP/1.1\r\nContent-Length: "+strconv.Itoa(len(body))+
+		"\r\nContent-Type: text/xml; charset=utf-8\r\n\r\n"+body, batch))
 	br := bufio.NewReader(local)
 	writeErr := make(chan error, 1)
 
@@ -324,10 +320,10 @@ func BenchmarkServeConnPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkClientStream measures the client side: Stream.Do pipelining
-// consecutive exchanges over one pinned connection with the
+// BenchmarkClientStream measures the client side: one-request
+// Stream.DoBatch bursts over one pinned connection with the
 // per-connection Response reuse, vs Client.Do taking the idle-pool path
-// on every exchange.
+// and lending the response out on every exchange.
 func BenchmarkClientStream(b *testing.B) {
 	nets := benchDialer{"echo:80": newBenchListener()}
 	srv := httpx.NewServer(httpx.HandlerFunc(benchEchoHandler), httpx.ServerConfig{})
@@ -342,12 +338,11 @@ func BenchmarkClientStream(b *testing.B) {
 		defer cli.Close()
 		s := cli.Stream("echo:80")
 		defer s.Close()
+		reqs := []*httpx.Request{req}
 		exchange := func() {
-			resp, err := s.Do(req)
-			if err != nil {
+			if _, err := s.DoBatch(reqs, httpx.DefaultRequestTimeout, func(int, *httpx.Response) {}); err != nil {
 				b.Fatal(err)
 			}
-			resp.Release()
 		}
 		exchange()
 		b.ReportAllocs()

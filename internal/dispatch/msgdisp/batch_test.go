@@ -171,11 +171,13 @@ func TestBatchMidErrorRequeuesFIFO(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(c1)
+		var req httpx.Request
 		for i := 0; i < 2; i++ {
-			if _, err := httpx.ReadRequest(br); err != nil {
+			if err := httpx.ReadRequestInto(br, &req); err != nil {
 				c1.Close()
 				return
 			}
+			req.Release()
 		}
 		c1.Write([]byte(ack + ack))
 		c1.Close()
@@ -188,13 +190,13 @@ func TestBatchMidErrorRequeuesFIFO(t *testing.T) {
 		defer c2.Close()
 		br2 := bufio.NewReader(c2)
 		for i := 0; i < 3; i++ {
-			req, err := httpx.ReadRequest(br2)
-			if err != nil {
+			if err := httpx.ReadRequestInto(br2, &req); err != nil {
 				return
 			}
 			mu.Lock()
 			conn2Bodies = append(conn2Bodies, string(req.Body))
 			mu.Unlock()
+			req.Release()
 			if _, err := c2.Write([]byte(ack)); err != nil {
 				return
 			}

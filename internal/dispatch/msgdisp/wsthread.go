@@ -286,8 +286,7 @@ func (d *Dispatcher) wsThread(dq *destQueue) {
 
 // deliverBatch posts a burst of same-destination messages over the
 // binding's stream as one pipelined, vectored write (Stream.DoBatch) and
-// settles the responses in pipeline order; a one-message burst is a
-// plain exchange (DoBatch degrades to DoTimeout). Error isolation:
+// settles the responses in pipeline order. Error isolation:
 // messages whose responses arrived are fully settled; on a mid-batch
 // failure the unanswered tail is requeued in FIFO order for a fresh
 // attempt rather than dropped, and a batch that failed whole (nothing

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -164,7 +165,7 @@ func TestServeConnPipelinedRepliesCoalesce(t *testing.T) {
 
 	br := bufio.NewReader(client)
 	for i := 0; i < k; i++ {
-		resp, err := ReadResponse(br)
+		resp, err := readResponse(t, br)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -179,7 +180,7 @@ func TestServeConnPipelinedRepliesCoalesce(t *testing.T) {
 	// Sequential requests (input drained between them) flush per reply.
 	for i := 0; i < 2; i++ {
 		go client.Write([]byte("POST /e HTTP/1.1\r\nContent-Length: 3\r\n\r\nseq"))
-		resp, err := ReadResponse(br)
+		resp, err := readResponse(t, br)
 		if err != nil {
 			t.Fatalf("sequential response %d: %v", i, err)
 		}
@@ -193,7 +194,8 @@ func TestServeConnPipelinedRepliesCoalesce(t *testing.T) {
 }
 
 // TestDoBatchSingleAndEmpty covers the degenerate burst sizes: zero
-// requests is a no-op, one request takes the plain DoTimeout path.
+// requests is a no-op, and one request is a burst of one that, like any
+// burst, leaves in a single write.
 func TestDoBatchSingleAndEmpty(t *testing.T) {
 	ln := newPipeListener()
 	defer ln.Close()
@@ -202,7 +204,8 @@ func TestDoBatchSingleAndEmpty(t *testing.T) {
 	}), ServerConfig{})
 	srv.Start(ln)
 	defer srv.Close()
-	cli := NewClient(&pipeDialer{ln: ln}, ClientConfig{})
+	dialer := &pipeDialer{ln: ln}
+	cli := NewClient(dialer, ClientConfig{})
 	defer cli.Close()
 	s := cli.Stream("svc:80")
 	defer s.Close()
@@ -215,6 +218,75 @@ func TestDoBatchSingleAndEmpty(t *testing.T) {
 		func(_ int, resp *Response) { body = string(resp.Body) })
 	if done != 1 || err != nil || body != "solo" {
 		t.Fatalf("single DoBatch = (%d, %v), body %q", done, err, body)
+	}
+	if w := dialer.writes.Load(); w != 1 {
+		t.Errorf("burst of one took %d writes, want 1", w)
+	}
+}
+
+// TestDoBatchDisableKeepAlive pins DoBatch under DisableKeepAlive: each
+// request is its own burst of one on a fresh connection, the callbacks
+// still see batch indices in order, and no connection is kept.
+func TestDoBatchDisableKeepAlive(t *testing.T) {
+	ln := newPipeListener()
+	defer ln.Close()
+	srv := NewServer(HandlerFunc(func(ex *Exchange) {
+		ex.ReplyBytes(StatusOK, ex.Req.Body)
+	}), ServerConfig{})
+	srv.Start(ln)
+	defer srv.Close()
+	dialer := &pipeDialer{ln: ln}
+	cli := NewClient(dialer, ClientConfig{DisableKeepAlive: true})
+	defer cli.Close()
+	s := cli.Stream("svc:80")
+	defer s.Close()
+
+	reqs := make([]*Request, 3)
+	for i := range reqs {
+		reqs[i] = NewRequest("POST", "/e", []byte(fmt.Sprintf("m%d", i)))
+	}
+	var seen []string
+	done, err := s.DoBatch(reqs, time.Second, func(i int, resp *Response) {
+		seen = append(seen, fmt.Sprintf("%d:%s", i, resp.Body))
+	})
+	if done != 3 || err != nil {
+		t.Fatalf("DoBatch = (%d, %v), want (3, nil)", done, err)
+	}
+	if got := strings.Join(seen, " "); got != "0:m0 1:m1 2:m2" {
+		t.Fatalf("callbacks = %q, want in order with batch indices", got)
+	}
+	if d := dialer.dials.Load(); d != 3 {
+		t.Errorf("dials = %d, want 3 (one connection per request)", d)
+	}
+	s.Close()
+	if n := cli.IdleConns("svc:80"); n != 0 {
+		t.Errorf("idle conns = %d, want 0", n)
+	}
+}
+
+// TestEncodeSteadyStateAllocs is the encoder's allocation gate: with the
+// buffer pool warm, encoding a burst of small-bodied requests — one, or
+// several — allocates nothing. Every request the client sends goes
+// through encodeBatch.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool caching is randomized under the race detector")
+	}
+	reqs := make([]*Request, 3)
+	for i := range reqs {
+		reqs[i] = NewRequest("POST", "/msg", []byte("<soap:Envelope>ping</soap:Envelope>"))
+		reqs[i].Header.Set("Content-Type", "text/xml; charset=utf-8")
+	}
+	for _, n := range []int{1, 3} {
+		encode := func() {
+			if err := encodeBatch(io.Discard, reqs[:n], "wsd:9100", false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode() // warm the buffer pool
+		if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+			t.Errorf("encoding a burst of %d allocated %.1f times per op, want 0", n, allocs)
+		}
 	}
 }
 
@@ -232,11 +304,13 @@ func TestDoBatchMidBatchClose(t *testing.T) {
 		}
 		br := bufio.NewReader(conn)
 		// Answer the first two requests, then slam the connection.
+		var req Request
 		for i := 0; i < 2; i++ {
-			if _, err := ReadRequest(br); err != nil {
+			if err := ReadRequestInto(br, &req); err != nil {
 				conn.Close()
 				return
 			}
+			req.Release()
 		}
 		conn.Write([]byte("HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n" +
 			"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n"))
@@ -277,12 +351,12 @@ func TestEncodeBatchBigBody(t *testing.T) {
 		NewRequest("POST", "/c", []byte("small-2")),
 	}
 	var out bytes.Buffer
-	if err := encodeBatch(&out, reqs, "host:80"); err != nil {
+	if err := encodeBatch(&out, reqs, "host:80", false); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(&out)
 	for i, want := range [][]byte{[]byte("small-1"), big, []byte("small-2")} {
-		req, err := ReadRequest(br)
+		req, err := readRequest(t, br)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -15,7 +15,7 @@ import (
 // keeps agreeing on the verdicts.
 func TestChunkedEdgeCases(t *testing.T) {
 	read := func(raw string) (*Request, error) {
-		return ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		return readRequest(t, bufio.NewReader(strings.NewReader(raw)))
 	}
 	chunked := "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
 
@@ -49,14 +49,14 @@ func TestChunkedEdgeCases(t *testing.T) {
 		br := bufio.NewReader(strings.NewReader(
 			chunked + "2\r\nab\r\n0\r\n\r\n" +
 				"POST /next HTTP/1.1\r\nContent-Length: 4\r\n\r\nnext"))
-		first, err := ReadRequest(br)
+		first, err := readRequest(t, br)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(first.Body) != "ab" {
 			t.Fatalf("first body = %q", first.Body)
 		}
-		second, err := ReadRequest(br)
+		second, err := readRequest(t, br)
 		if err != nil {
 			t.Fatalf("pipelined request after chunked terminator: %v", err)
 		}

@@ -66,18 +66,17 @@ const DefaultIdleConnTTL = 90 * time.Second
 //
 // # Connection-owned exchanges
 //
-// Each connection (persistConn) owns one reusable Response struct: Do
-// reads every response on that connection into the same struct, so a
+// Each connection (persistConn) owns one reusable Response struct: every
+// response on that connection is read into the same struct, so a
 // kept-alive connection performs zero per-exchange message-struct
-// allocations. Ownership therefore gates reuse: the connection returns
-// to the idle pool when the caller releases the response (resp.Release,
-// or the function TakeBody returned). Until then the struct and its
-// pooled buffer are the caller's; after the release neither may be
-// touched — the connection's next exchange overwrites the struct, and
-// the poolcheck mode poisons the buffer. Skipping a release no longer
-// merely forfeits buffer reuse: it also strands the connection (never
-// pooled, closed only by GC finalizers), so the PR 3 rule — exactly one
-// release per message — is now load-bearing on the client side too.
+// allocations. Ownership therefore gates reuse: after Do, the connection
+// returns to the idle pool when the caller releases the response
+// (resp.Release, or the function TakeBody returned). Until then the
+// struct and its pooled buffer are the caller's; after the release
+// neither may be touched — the connection's next exchange overwrites the
+// struct, and the poolcheck mode poisons the buffer. Skipping a release
+// strands the connection (never pooled, closed only by GC finalizers)
+// besides forfeiting the buffer.
 type Client struct {
 	dialer Dialer
 	cfg    ClientConfig
@@ -89,8 +88,7 @@ type Client struct {
 
 // persistConn is one client connection and the exchange state it owns:
 // the reusable Response struct and the release hook that returns the
-// connection to the pool (or a Stream) once the caller is done with the
-// response.
+// connection to the pool once a Do caller is done with the response.
 type persistConn struct {
 	c    *Client
 	addr string
@@ -103,11 +101,8 @@ type persistConn struct {
 	// finish is resp's ReleaseBody hook, built once per connection so
 	// the steady state allocates no closures.
 	finish func()
-	// closeAfter records the exchange's close verdict for finish.
+	// closeAfter records the last exchange's close verdict.
 	closeAfter bool
-	// stream, when non-nil, owns the connection instead of the idle
-	// pool; finish hands it back there.
-	stream *Stream
 	// idleSince timestamps entry into the idle pool for TTL eviction.
 	idleSince time.Time
 	// armed is the connection deadline currently set on conn, kept across
@@ -201,10 +196,6 @@ func (c *Client) newPersistConn(addr string, conn net.Conn) *persistConn {
 	// (SplitURL slices the parsed To header). Detach once per dial.
 	pc := &persistConn{c: c, addr: strings.Clone(addr), conn: conn, br: bufio.NewReader(conn)}
 	pc.finish = func() {
-		if s := pc.stream; s != nil {
-			s.finished(pc)
-			return
-		}
 		if pc.closeAfter {
 			pc.conn.Close()
 			return
@@ -233,18 +224,14 @@ func (pc *persistConn) armDeadline(deadline time.Time) {
 	pc.conn.SetDeadline(deadline)
 }
 
-// roundTrip performs one request/response on pc. The response is read
-// into pc's reusable struct, and its release hook returns pc to the pool
-// (or its Stream) — the connection is out of circulation exactly as long
-// as the caller holds the response.
+// roundTrip performs one request/response on pc: a burst of one that
+// lends the response out. The response is read into pc's reusable
+// struct, and its release hook returns pc to the pool — the connection
+// is out of circulation exactly as long as the caller holds the
+// response.
 func (pc *persistConn) roundTrip(req *Request, deadline time.Time) (*Response, error) {
-	c := pc.c
-	pc.armDeadline(deadline)
-	// Host and Connection are supplied at encode time rather than by
-	// cloning the header set: nothing is allocated and req is never
-	// mutated, so retries re-encode the identical message.
-	if err := req.encode(pc.conn, pc.addr, c.cfg.DisableKeepAlive); err != nil {
-		return nil, fmt.Errorf("httpx: write to %s: %w", pc.addr, err)
+	if err := pc.send([]*Request{req}, deadline); err != nil {
+		return nil, err
 	}
 	resp := &pc.resp
 	if err := ReadResponseInto(pc.br, resp); err != nil {
@@ -252,14 +239,31 @@ func (pc *persistConn) roundTrip(req *Request, deadline time.Time) (*Response, e
 	}
 	// The close verdict is snapshotted now (the caller may release from
 	// another goroutine, and the header strings die with the buffer).
-	// The deadline is deliberately left armed on keep-alive success:
-	// clearing it would cost a SetDeadline per exchange, and the next
-	// exchange re-arms (or keeps) it anyway. A deadline that fires while
-	// the connection sits in the idle pool just makes the next reuse look
-	// stale, which the fresh-dial retry already handles.
-	pc.closeAfter = c.cfg.DisableKeepAlive || wantsClose(resp.Proto, &resp.Header)
+	pc.closeAfter = pc.wantsClose(resp)
 	resp.ReleaseBody = pc.finish
 	return resp, nil
+}
+
+// send arms the deadline and writes reqs as one burst. Host and
+// Connection are supplied at encode time rather than by cloning the
+// header set: nothing is allocated and no request is mutated, so a retry
+// re-encodes the identical burst. The deadline is deliberately left
+// armed after a keep-alive exchange: clearing it would cost a
+// SetDeadline per exchange, and the next exchange re-arms (or keeps) it
+// anyway. A deadline that fires while the connection sits idle just
+// makes the next reuse look stale, which the fresh-dial retry handles.
+func (pc *persistConn) send(reqs []*Request, deadline time.Time) error {
+	pc.armDeadline(deadline)
+	if err := encodeBatch(pc.conn, reqs, pc.addr, pc.c.cfg.DisableKeepAlive); err != nil {
+		return fmt.Errorf("httpx: write to %s: %w", pc.addr, err)
+	}
+	return nil
+}
+
+// wantsClose is the connection's close verdict for resp: the peer asked
+// for it, or the client runs without keep-alive.
+func (pc *persistConn) wantsClose(resp *Response) bool {
+	return pc.c.cfg.DisableKeepAlive || wantsClose(resp.Proto, &resp.Header)
 }
 
 // batchTrip performs a pipelined burst on pc: all requests leave in one
@@ -278,9 +282,8 @@ func (pc *persistConn) roundTrip(req *Request, deadline time.Time) (*Response, e
 // closes mid-batch (Connection: close before the last response, or a
 // read error) strands the written tail; the caller requeues reqs[done:].
 func (pc *persistConn) batchTrip(reqs []*Request, deadline time.Time, handle func(i int, resp *Response)) (done int, err error) {
-	pc.armDeadline(deadline)
-	if err := encodeBatch(pc.conn, reqs, pc.addr); err != nil {
-		return 0, fmt.Errorf("httpx: batch write to %s: %w", pc.addr, err)
+	if err := pc.send(reqs, deadline); err != nil {
+		return 0, err
 	}
 	resp := &pc.resp
 	for i := range reqs {
@@ -289,19 +292,13 @@ func (pc *persistConn) batchTrip(reqs []*Request, deadline time.Time, handle fun
 		}
 		// Snapshot the close verdict before handle: the header strings
 		// die with the buffer released below.
-		closeAfter := wantsClose(resp.Proto, &resp.Header)
+		pc.closeAfter = pc.wantsClose(resp)
 		handle(i, resp)
 		resp.Release()
-		if closeAfter {
-			pc.closeAfter = true
-			done = i + 1
-			if done < len(reqs) {
-				return done, fmt.Errorf("httpx: %s closed the connection after %d of %d batched responses", pc.addr, done, len(reqs))
-			}
-			return done, nil
+		if pc.closeAfter && i+1 < len(reqs) {
+			return i + 1, fmt.Errorf("httpx: %s closed the connection after %d of %d batched responses", pc.addr, i+1, len(reqs))
 		}
 	}
-	pc.closeAfter = false // deadline stays armed; see armDeadline
 	return len(reqs), nil
 }
 
@@ -400,22 +397,24 @@ func (c *Client) Close() {
 	}
 }
 
-// Stream is a session pinned to one destination: consecutive exchanges
+// Stream is a session pinned to one destination: consecutive bursts
 // reuse the same connection directly, without re-entering the idle pool
 // between them. It is the client-side face of the paper's held delivery
 // connections — the MSG-Dispatcher's WsThread opens one Stream per
 // destination binding and pipelines every queued message through it.
 //
-// A Stream is a sequential session: the previous response must be
-// released before the next Do (the release is what hands the connection
-// back to the stream). Close returns a healthy connection to the shared
-// idle pool so the next binding can pick it up. Streams are not safe for
-// concurrent Do calls.
+// A Stream sends only bursts (DoBatch); a lone request is a burst of
+// one. Bursts are sequential: a DoBatch started while another runs —
+// from its callback, say — is refused with ErrStreamBusy. Close returns
+// a healthy connection to the shared idle pool so the next binding can
+// pick it up.
 type Stream struct {
 	c    *Client
 	addr string
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// pc is the pinned connection between bursts; a running burst holds
+	// it outside the struct.
 	pc     *persistConn
 	busy   bool
 	closed bool
@@ -423,7 +422,7 @@ type Stream struct {
 
 // Stream opens a session to addr. The connection is established lazily —
 // adopted from the idle pool when one is parked there, dialed otherwise —
-// on the first Do.
+// on the first burst.
 func (c *Client) Stream(addr string) *Stream {
 	return &Stream{c: c, addr: addr}
 }
@@ -431,72 +430,8 @@ func (c *Client) Stream(addr string) *Stream {
 // errors surfaced by Stream misuse.
 var (
 	ErrStreamClosed = errors.New("httpx: stream closed")
-	ErrStreamBusy   = errors.New("httpx: previous stream response not yet released")
+	ErrStreamBusy   = errors.New("httpx: stream burst already in progress")
 )
-
-// Do performs one exchange on the stream's connection with the client's
-// default RequestTimeout. Response ownership is exactly as Client.Do;
-// releasing the response is what makes the stream ready for the next Do.
-func (s *Stream) Do(req *Request) (*Response, error) {
-	return s.DoTimeout(req, s.c.cfg.RequestTimeout)
-}
-
-// DoTimeout is Do with an explicit exchange budget. A stale pinned
-// connection is retried once on a fresh dial, exactly as Client.Do.
-func (s *Stream) DoTimeout(req *Request, timeout time.Duration) (*Response, error) {
-	deadline := s.c.cfg.Clock.Now().Add(timeout)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrStreamClosed
-	}
-	if s.busy {
-		s.mu.Unlock()
-		return nil, ErrStreamBusy
-	}
-	pc := s.pc
-	if pc == nil {
-		// Adopt a parked connection to this destination, if any.
-		if pc = s.c.takeIdle(s.addr); pc != nil {
-			pc.stream = s
-			s.pc = pc
-		}
-	}
-	s.busy = true
-	s.mu.Unlock()
-
-	if pc != nil {
-		resp, err := pc.roundTrip(req, deadline)
-		if err == nil {
-			return resp, nil
-		}
-		pc.conn.Close()
-		s.mu.Lock()
-		s.pc = nil
-		s.mu.Unlock()
-	}
-	pc, err := s.c.dial(s.addr, deadline)
-	if err != nil {
-		s.mu.Lock()
-		s.busy = false
-		s.mu.Unlock()
-		return nil, err
-	}
-	pc.stream = s
-	s.mu.Lock()
-	s.pc = pc
-	s.mu.Unlock()
-	resp, err := pc.roundTrip(req, deadline)
-	if err != nil {
-		pc.conn.Close()
-		s.mu.Lock()
-		s.pc = nil
-		s.busy = false
-		s.mu.Unlock()
-		return nil, err
-	}
-	return resp, nil
-}
 
 // DoBatch sends a burst of requests pipelined over the stream's
 // connection — one vectored write for the whole batch, one deadline
@@ -513,23 +448,28 @@ func (s *Stream) DoTimeout(req *Request, timeout time.Duration) (*Response, erro
 // done < len(reqs) and err is non-nil; the caller decides the tail's
 // fate (the MSG-Dispatcher requeues it). A stale pinned connection is
 // retried once on a fresh dial, but only while done == 0, so no message
-// is ever double-processed. With one request, or under DisableKeepAlive
-// (no pipelining over per-exchange connections), DoBatch degrades to
-// sequential DoTimeout exchanges.
+// is ever double-processed. Under DisableKeepAlive each request is its
+// own burst of one on a fresh connection, and handle still sees batch
+// indices.
 func (s *Stream) DoBatch(reqs []*Request, timeout time.Duration, handle func(i int, resp *Response)) (done int, err error) {
+	if !s.c.cfg.DisableKeepAlive {
+		return s.burst(reqs, timeout, handle)
+	}
+	for i := range reqs {
+		n, err := s.burst(reqs[i:i+1], timeout, func(_ int, resp *Response) { handle(i, resp) })
+		if err != nil {
+			return i + n, err
+		}
+	}
+	return len(reqs), nil
+}
+
+// burst runs one pipelined burst on the pinned connection — adopted from
+// the idle pool, or dialed, when none is pinned — with the one
+// stale-connection retry.
+func (s *Stream) burst(reqs []*Request, timeout time.Duration, handle func(i int, resp *Response)) (done int, err error) {
 	if len(reqs) == 0 {
 		return 0, nil
-	}
-	if len(reqs) == 1 || s.c.cfg.DisableKeepAlive {
-		for i, req := range reqs {
-			resp, err := s.DoTimeout(req, timeout)
-			if err != nil {
-				return i, err
-			}
-			handle(i, resp)
-			resp.Release()
-		}
-		return len(reqs), nil
 	}
 	deadline := s.c.cfg.Clock.Now().Add(timeout)
 	s.mu.Lock()
@@ -542,104 +482,66 @@ func (s *Stream) DoBatch(reqs []*Request, timeout time.Duration, handle func(i i
 		return 0, ErrStreamBusy
 	}
 	pc := s.pc
-	if pc == nil {
-		if pc = s.c.takeIdle(s.addr); pc != nil {
-			pc.stream = s
-			s.pc = pc
-		}
-	}
-	s.busy = true
+	s.pc, s.busy = nil, true
 	s.mu.Unlock()
 
+	if pc == nil {
+		pc = s.c.takeIdle(s.addr)
+	}
 	if pc != nil {
 		done, err = pc.batchTrip(reqs, deadline, handle)
 		if err == nil || done > 0 {
-			s.batchFinished(pc, err)
+			s.finished(pc, err)
 			return done, err
 		}
 		// Nothing processed on a reused connection: it likely went stale
 		// in the pool. Retry the whole batch once on a fresh dial — no
 		// callback has run, so re-encoding re-reads intact request bodies.
 		pc.conn.Close()
-		s.mu.Lock()
-		s.pc = nil
-		s.mu.Unlock()
 	}
-	pc, derr := s.c.dial(s.addr, deadline)
-	if derr != nil {
-		s.mu.Lock()
-		s.busy = false
-		s.mu.Unlock()
-		return 0, derr
+	if pc, err = s.c.dial(s.addr, deadline); err != nil {
+		s.finished(nil, err)
+		return 0, err
 	}
-	pc.stream = s
-	s.mu.Lock()
-	s.pc = pc
-	s.mu.Unlock()
 	done, err = pc.batchTrip(reqs, deadline, handle)
-	s.batchFinished(pc, err)
+	s.finished(pc, err)
 	return done, err
 }
 
-// batchFinished returns the connection to the stream after a batch: the
-// responses were all released inside batchTrip, so there is no deferred
-// release hook — the stream is ready (or the connection disposed of)
-// immediately.
-func (s *Stream) batchFinished(pc *persistConn, err error) {
-	dead := err != nil || pc.closeAfter
+// finished ends a burst: a healthy connection is pinned again, or parked
+// in the idle pool if the stream closed meanwhile; a failed or closing
+// one is disposed of.
+func (s *Stream) finished(pc *persistConn, err error) {
+	healthy := pc != nil && err == nil && !pc.closeAfter
 	s.mu.Lock()
 	s.busy = false
-	closed := s.closed
-	if dead || closed {
-		s.pc = nil
+	park := s.closed
+	if healthy && !park {
+		s.pc = pc
 	}
 	s.mu.Unlock()
 	switch {
-	case dead:
+	case pc == nil:
+	case !healthy:
 		pc.conn.Close()
-	case closed:
-		pc.stream = nil
-		pc.c.putIdle(pc)
-	}
-}
-
-// finished is the stream-mode release hook: the caller released the
-// exchange's response, so the connection is the stream's again — or, if
-// the exchange demanded close / the stream closed meanwhile, disposed of.
-func (s *Stream) finished(pc *persistConn) {
-	s.mu.Lock()
-	s.busy = false
-	dead := pc.closeAfter
-	closed := s.closed
-	if dead || closed {
-		s.pc = nil
-	}
-	s.mu.Unlock()
-	switch {
-	case dead:
-		pc.conn.Close()
-	case closed:
-		pc.stream = nil
-		pc.c.putIdle(pc)
+	case park:
+		s.c.putIdle(pc)
 	}
 }
 
 // Close ends the session. An idle healthy connection is returned to the
 // client's shared pool (the next binding to this destination adopts it
-// back); a connection still lent out follows the same path when its
-// response is released.
+// back); a connection in use by a burst follows the same path when the
+// burst ends.
 func (s *Stream) Close() {
 	s.mu.Lock()
 	s.closed = true
 	pc := s.pc
-	if s.busy || pc == nil {
-		s.mu.Unlock()
-		return // finished() hands the connection off
-	}
 	s.pc = nil
 	s.mu.Unlock()
-	pc.stream = nil
-	s.c.putIdle(pc)
+	if pc != nil {
+		s.c.putIdle(pc)
+	}
 }
 
 // clientTimeoutError is returned when the exchange budget is exhausted

@@ -125,25 +125,40 @@ func TestMaxIdlePerHostCapEvicts(t *testing.T) {
 	}
 }
 
+// streamEcho sends body as a burst of one on s and checks the echo.
+func streamEcho(t *testing.T, s *Stream, body string) error {
+	t.Helper()
+	var got string
+	done, err := s.DoBatch([]*Request{NewRequest("POST", "/e", []byte(body))}, DefaultRequestTimeout,
+		func(_ int, resp *Response) {
+			if resp.Status != StatusOK {
+				t.Errorf("stream resp = HTTP %d", resp.Status)
+			}
+			got = string(resp.Body)
+		})
+	if err != nil {
+		return err
+	}
+	if done != 1 || got != body {
+		t.Fatalf("stream burst = (%d), body %q, want (1) %q", done, got, body)
+	}
+	return nil
+}
+
 // TestStreamPipelinesOneConnection pins the Stream session contract:
-// consecutive exchanges ride one connection without touching the idle
+// consecutive bursts ride one connection without touching the idle
 // pool, and the server sees a single connection throughout.
 func TestStreamPipelinesOneConnection(t *testing.T) {
 	env, dialer := newCountingEnv(t, ClientConfig{})
 	s := env.client.Stream(env.addr)
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		resp, err := s.Do(NewRequest("POST", "/e", []byte("ping")))
-		if err != nil {
+		if err := streamEcho(t, s, "ping"); err != nil {
 			t.Fatal(err)
-		}
-		if resp.Status != StatusOK || string(resp.Body) != "ping" {
-			t.Fatalf("stream resp = %d %q", resp.Status, resp.Body)
 		}
 		if got := env.client.IdleConns(env.addr); got != 0 {
 			t.Fatalf("stream leaked its connection into the idle pool (%d)", got)
 		}
-		resp.Release()
 	}
 	if dialer.dials.Load() != 1 {
 		t.Fatalf("dials = %d, want 1", dialer.dials.Load())
@@ -153,25 +168,29 @@ func TestStreamPipelinesOneConnection(t *testing.T) {
 	}
 }
 
-// TestStreamBusyUntilRelease pins the sequential-session rule: the next
-// Do is refused until the previous response is released.
+// TestStreamBusyUntilRelease pins the sequential-session rule: while a
+// burst runs — here, from inside its response callback — the stream
+// refuses another burst until the running one has released its last
+// response.
 func TestStreamBusyUntilRelease(t *testing.T) {
 	env, _ := newCountingEnv(t, ClientConfig{})
 	s := env.client.Stream(env.addr)
 	defer s.Close()
-	resp, err := s.Do(NewRequest("POST", "/e", []byte("a")))
-	if err != nil {
+	var nested error
+	done, err := s.DoBatch([]*Request{NewRequest("POST", "/e", []byte("a"))}, DefaultRequestTimeout,
+		func(int, *Response) {
+			_, nested = s.DoBatch([]*Request{NewRequest("POST", "/e", []byte("b"))}, DefaultRequestTimeout,
+				func(int, *Response) { t.Error("nested burst ran") })
+		})
+	if done != 1 || err != nil {
+		t.Fatalf("outer burst = (%d, %v)", done, err)
+	}
+	if nested != ErrStreamBusy {
+		t.Fatalf("burst from inside a callback: err = %v, want ErrStreamBusy", nested)
+	}
+	if err := streamEcho(t, s, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Do(NewRequest("POST", "/e", []byte("b"))); err != ErrStreamBusy {
-		t.Fatalf("second Do before release: err = %v, want ErrStreamBusy", err)
-	}
-	resp.Release()
-	resp2, err := s.Do(NewRequest("POST", "/e", []byte("b")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Release()
 }
 
 // TestStreamCloseParksConnection checks the handoff between sessions:
@@ -181,53 +200,55 @@ func TestStreamBusyUntilRelease(t *testing.T) {
 func TestStreamCloseParksConnection(t *testing.T) {
 	env, dialer := newCountingEnv(t, ClientConfig{})
 	s := env.client.Stream(env.addr)
-	resp, err := s.Do(NewRequest("POST", "/e", []byte("a")))
-	if err != nil {
+	if err := streamEcho(t, s, "a"); err != nil {
 		t.Fatal(err)
 	}
-	resp.Release()
 	s.Close()
 	if got := env.client.IdleConns(env.addr); got != 1 {
 		t.Fatalf("idle conns after stream close = %d, want 1", got)
 	}
-	if _, err := s.Do(NewRequest("POST", "/e", []byte("x"))); err != ErrStreamClosed {
-		t.Fatalf("Do on closed stream: err = %v, want ErrStreamClosed", err)
+	if err := streamEcho(t, s, "x"); err != ErrStreamClosed {
+		t.Fatalf("burst on closed stream: err = %v, want ErrStreamClosed", err)
 	}
 
 	// A new binding to the same destination adopts the parked conn.
 	s2 := env.client.Stream(env.addr)
 	defer s2.Close()
-	resp, err = s2.Do(NewRequest("POST", "/e", []byte("b")))
-	if err != nil {
+	if err := streamEcho(t, s2, "b"); err != nil {
 		t.Fatal(err)
 	}
-	resp.Release()
 	if dialer.dials.Load() != 1 {
 		t.Fatalf("dials = %d, want 1 (second stream must adopt the parked conn)", dialer.dials.Load())
 	}
 }
 
 // TestStreamCloseWhileLentHandsOff covers closing a stream while its
-// response is still held: the release, not Close, parks the connection.
+// connection is lent to a running burst: Close is called from inside
+// the burst's callback, and the connection reaches the idle pool only
+// when the burst ends.
 func TestStreamCloseWhileLentHandsOff(t *testing.T) {
 	env, _ := newCountingEnv(t, ClientConfig{})
 	s := env.client.Stream(env.addr)
-	resp, err := s.Do(NewRequest("POST", "/e", []byte("a")))
-	if err != nil {
-		t.Fatal(err)
+	idleInCallback := -1
+	done, err := s.DoBatch([]*Request{NewRequest("POST", "/e", []byte("a"))}, DefaultRequestTimeout,
+		func(int, *Response) {
+			s.Close()
+			idleInCallback = env.client.IdleConns(env.addr)
+		})
+	if done != 1 || err != nil {
+		t.Fatalf("burst = (%d, %v)", done, err)
 	}
-	s.Close()
-	if got := env.client.IdleConns(env.addr); got != 0 {
-		t.Fatalf("connection parked while still lent out (%d idle)", got)
+	if idleInCallback != 0 {
+		t.Fatalf("connection parked while still lent to the burst (%d idle)", idleInCallback)
 	}
-	resp.Release()
 	if got := env.client.IdleConns(env.addr); got != 1 {
 		t.Fatalf("idle conns after deferred handoff = %d, want 1", got)
 	}
 }
 
 // TestStreamSurvivesServerIdleClose: a stream whose pinned connection
-// the server reaped redials transparently, like Client.Do.
+// the server reaped redials transparently — the stale-connection retry,
+// taken only while no response has been handled.
 func TestStreamSurvivesServerIdleClose(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
@@ -243,18 +264,11 @@ func TestStreamSurvivesServerIdleClose(t *testing.T) {
 
 	s := cli.Stream("server:80")
 	defer s.Close()
-	resp, err := s.Do(NewRequest("POST", "/e", []byte("1")))
-	if err != nil {
+	if err := streamEcho(t, s, "1"); err != nil {
 		t.Fatal(err)
 	}
-	resp.Release()
 	clk.Sleep(3 * time.Second) // server reaps the held connection
-	resp, err = s.Do(NewRequest("POST", "/e", []byte("2")))
-	if err != nil {
-		t.Fatalf("stream Do after server idle close: %v", err)
+	if err := streamEcho(t, s, "2"); err != nil {
+		t.Fatalf("stream burst after server idle close: %v", err)
 	}
-	if string(resp.Body) != "2" {
-		t.Fatalf("body = %q", resp.Body)
-	}
-	resp.Release()
 }

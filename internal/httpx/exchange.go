@@ -21,9 +21,9 @@ import (
 // Req's head fields and Body live in a pooled buffer owned by the
 // connection; they are valid until the handler's reply has been written
 // (Serve return for inline handlers, Finish for hijacked ones), exactly
-// as under the PR 3/4 rules. A handler that needs them longer must
-// detach what survives (Element.Detach, Header.Detach, strings.Clone) or
-// take the buffer with TakeBody. The Exchange itself — including the
+// as under the package's pooled-buffer rules. A handler that needs them
+// longer must detach what survives (Element.Detach, Header.Detach,
+// strings.Clone) or take the buffer with TakeBody. The Exchange itself — including the
 // Request struct — is reused for the connection's next request the
 // moment the reply is on the wire: nothing may retain *Exchange, &ex.Req
 // or &ex.Req.Header past that point. Async takers keep the parsed data

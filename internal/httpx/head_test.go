@@ -18,7 +18,7 @@ func TestExactLineTrimming(t *testing.T) {
 	// A '\r' before the terminator belongs to the line. For header
 	// values it is then removed by value trimming (TrimSpace treats
 	// '\r' as whitespace), so the value is unchanged...
-	req, err := ReadRequest(bufio.NewReader(strings.NewReader(
+	req, err := readRequest(t, bufio.NewReader(strings.NewReader(
 		"POST / HTTP/1.1\r\nX-A: v\r\r\n\r\n")))
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestExactLineTrimming(t *testing.T) {
 		t.Fatalf("X-A = %q, want %q", got, "v")
 	}
 	// ...but for the request line it is data: the proto keeps it.
-	req, err = ReadRequest(bufio.NewReader(strings.NewReader(
+	req, err = readRequest(t, bufio.NewReader(strings.NewReader(
 		"GET / HTTP/1.1\r\r\n\r\n")))
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestExactLineTrimming(t *testing.T) {
 	}
 	// And a lone "\r\r\n" line is a malformed header line (no colon),
 	// not the blank line that ends the head.
-	_, err = ReadRequest(bufio.NewReader(strings.NewReader(
+	_, err = readRequest(t, bufio.NewReader(strings.NewReader(
 		"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\r\n\r\nab")))
 	if err == nil {
 		t.Fatal("\\r\\r\\n accepted as end-of-head blank line")
@@ -73,7 +73,7 @@ func TestAppendWireManyHeaders(t *testing.T) {
 		t.Fatalf("synthetic headers missing:\n%s", wire)
 	}
 	// And a parse of the rendered section agrees field for field.
-	req, err := ReadRequest(bufio.NewReader(strings.NewReader("POST / HTTP/1.1\r\n" + wire + "1234567")))
+	req, err := readRequest(t, bufio.NewReader(strings.NewReader("POST / HTTP/1.1\r\n"+wire+"1234567")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,7 @@ func TestWantsCloseNoAlloc(t *testing.T) {
 // fields, body framing) lives entirely in the message's pooled buffer,
 // and the struct is the connection's, reused across requests; this is
 // exactly the read serveConn and the client's persistConn perform per
-// message. The one-shot ReadRequestPooled/ReadResponsePooled wrappers
-// add exactly the message struct.
+// message.
 func TestReadHeadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool caching is randomized under the race detector")
@@ -246,34 +245,6 @@ func TestReadHeadSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, readRespInto); allocs != 0 {
 		t.Errorf("reused-struct response read allocated %.1f times per op, want 0", allocs)
-	}
-
-	// One-shot wrappers: exactly the message struct.
-	readReq := func() {
-		src.Reset(rawReq)
-		br.Reset(src)
-		r, err := ReadRequestPooled(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Release()
-	}
-	readReq()
-	if allocs := testing.AllocsPerRun(100, readReq); allocs > 1 {
-		t.Errorf("request head+body read allocated %.1f times per op, want <= 1 (the *Request)", allocs)
-	}
-	readResp := func() {
-		src.Reset(rawResp)
-		br.Reset(src)
-		r, err := ReadResponsePooled(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Release()
-	}
-	readResp()
-	if allocs := testing.AllocsPerRun(100, readResp); allocs > 1 {
-		t.Errorf("response head+body read allocated %.1f times per op, want <= 1 (the *Response)", allocs)
 	}
 }
 

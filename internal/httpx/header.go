@@ -1,84 +1,3 @@
-// Package httpx is a compact HTTP/1.1 implementation — client, server, and
-// message codec — written directly against net.Conn.
-//
-// The paper's stack (XSUL) ships its own HTTP transport rather than using a
-// servlet container, because the dispatcher needs precise control over the
-// connection lifecycle: the RPC-Dispatcher holds one upstream and one
-// downstream connection per in-flight call, the MSG-Dispatcher keeps
-// connections to destination services "open for a predefined time" to batch
-// messages, and the evaluation hinges on TCP-level timeouts. Re-implementing
-// HTTP/1.1 here (instead of using net/http) keeps those knobs explicit and
-// lets the same code run over real TCP and over the netsim virtual network,
-// whose Conn carries the bandwidth/latency model.
-//
-// Scope: HTTP/1.0 and 1.1, Content-Length and chunked bodies, persistent
-// connections, and the handful of headers SOAP messaging needs. It is not a
-// general-purpose web server.
-//
-// # Pooled heads
-//
-// The read path is fasthttp-shaped: the whole head (request/status line plus
-// header section) is read into one pooled buffer owned by the message, and
-// the request line, status line, and headers are parsed in place. Method,
-// Path, Proto, Reason, and every Header key and value alias that buffer —
-// nothing is copied and nothing per-header is allocated. Header itself is a
-// small kv-span list (see Header below), not a map, and key lookups compare
-// case-insensitively against the wire bytes instead of rewriting them to
-// canonical case. The message body is framed into the same buffer right
-// after the head, so one Release returns the whole message — head strings
-// included — to the pool. The ownership rules live on Request
-// (buffer-lifecycle diagram in message.go) and in ROADMAP.md's "Wire codec"
-// section.
-//
-// # Exchanges
-//
-// The API is connection-scoped: the unit a Handler works in is the
-// Exchange, of which each server connection owns exactly one for its whole
-// life. Handlers read the parsed request from ex.Req and answer through
-// the exchange's reply API (Reply / ReplyBuffer / ReplyBytes; Hijack +
-// Finish for replies produced on another goroutine); the reply's head and
-// body leave in a single batched write. Because the Request struct, reply
-// header set, and hijack channel are all reused, a keep-alive connection
-// serves steady-state traffic with zero per-request message-struct
-// allocations. The client mirrors the shape: each pooled connection owns
-// one reusable Response, lent to the caller until Release — which is also
-// what returns the connection for reuse — and Client.Stream pins a
-// connection to one destination so consecutive exchanges pipeline over it
-// without re-entering the idle pool. Ownership details live on Exchange
-// and Client.
-//
-// # Cross-message batching
-//
-// Both halves amortize syscalls across messages, not just within one:
-//
-//   - Client: Stream.DoBatch sends a burst of requests down the pinned
-//     connection as ONE pipelined, vectored write (bodies under the
-//     coalesce limit are gathered into a single pooled buffer; larger
-//     ones join a writev chain), arms the write/read deadline once for
-//     the burst, and reads the responses back in pipeline order. Each
-//     response is lent to the per-response callback only for the
-//     callback's duration — it is released, and the connection's
-//     reusable Response recycled, before the next response is read. On
-//     a mid-burst failure DoBatch reports how many responses were fully
-//     handled so the caller can requeue the unanswered tail.
-//   - Server: replies to pipelined requests coalesce in a
-//     connection-scoped write buffer and leave in one flush covering
-//     the whole burst. The flush triggers when the client's buffered
-//     input drains (the fasthttp heuristic: a pipelining client keeps
-//     sending before it reads), when the batch exceeds the coalesce
-//     limit, or when the connection is about to close — so a
-//     one-request-at-a-time client still sees a write per reply.
-//
-// # Body aliasing downstream
-//
-// Handlers increasingly route straight off views of ex.Req.Body without
-// building trees: since PR 9 the dispatchers skim canonical SOAP
-// envelopes into byte spans (wsa.SkimEnvelope) that alias the pooled
-// request buffer. The lifetime contract is the same one parse trees
-// follow — views are valid until the reply is written (or until the
-// taker's release, after TakeBody), and anything retained longer must
-// be detached — and the poolcheck mode polices it identically. See the
-// ROADMAP "Zero-parse forward path (PR 9)" contract.
 package httpx
 
 import (
@@ -357,11 +276,14 @@ const wireKeyScratch = 16
 
 // appendWire renders headers in sorted canonical-key order (deterministic
 // wire output makes tests and traces stable) followed by the blank line,
-// appending to b. Content-Length is always emitted from contentLength
-// (overriding any stored value), hostIfMissing supplies Host only when
-// absent, and forceClose overrides Connection with "close" — all without
-// touching the stored fields, so encoding never copies them. The key
-// scratch lives on the stack for the header counts SOAP traffic has.
+// appending to b. Bodies are always fully buffered, so the framing is
+// always Content-Length, emitted from contentLength: a stored
+// Content-Length is overridden, and a stored Transfer-Encoding
+// (hop-by-hop, left over from a chunked read) is dropped.
+// hostIfMissing supplies Host only when absent, and forceClose overrides
+// Connection with "close" — all without touching the stored fields, so
+// encoding never copies them. The key scratch lives on the stack for
+// the header counts SOAP traffic has.
 func (h *Header) appendWire(b []byte, contentLength int, hostIfMissing string, forceClose bool) []byte {
 	type wireKV struct {
 		key   string // canonical form
@@ -373,7 +295,7 @@ func (h *Header) appendWire(b []byte, contentLength int, hostIfMissing string, f
 	for i := 0; i < h.n; i++ {
 		kv := h.at(i)
 		ck := CanonicalKey(kv.key)
-		if ck == "Content-Length" {
+		if ck == "Content-Length" || ck == "Transfer-Encoding" {
 			continue
 		}
 		if forceClose && ck == "Connection" {

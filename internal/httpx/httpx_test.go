@@ -43,16 +43,50 @@ func TestHeaderSetGetDel(t *testing.T) {
 	}
 }
 
+// readRequest reads one request into a fresh struct through
+// ReadRequestInto; its pooled buffer is released when the test ends.
+func readRequest(t testing.TB, br *bufio.Reader) (*Request, error) {
+	req := new(Request)
+	if err := ReadRequestInto(br, req); err != nil {
+		return nil, err
+	}
+	t.Cleanup(req.Release)
+	return req, nil
+}
+
+// readResponse is readRequest for responses.
+func readResponse(t testing.TB, br *bufio.Reader) (*Response, error) {
+	resp := new(Response)
+	if err := ReadResponseInto(br, resp); err != nil {
+		return nil, err
+	}
+	t.Cleanup(resp.Release)
+	return resp, nil
+}
+
+// encodeRequest renders req as the client sends it alone: a burst of one.
+func encodeRequest(t testing.TB, req *Request) *bufio.Reader {
+	var buf bytes.Buffer
+	if err := encodeBatch(&buf, []*Request{req}, "", false); err != nil {
+		t.Fatal(err)
+	}
+	return bufio.NewReader(&buf)
+}
+
+// encodeReply renders a reply as the server does, through an Exchange.
+func encodeReply(status int, body []byte) *bufio.Reader {
+	var ex Exchange
+	ex.ReplyBytes(status, body)
+	wire, _ := ex.appendReply(nil)
+	return bufio.NewReader(bytes.NewReader(wire))
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	req := NewRequest("POST", "/wsd/echo", []byte("<soap/>"))
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `""`)
 
-	var buf bytes.Buffer
-	if err := req.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequest(bufio.NewReader(&buf))
+	got, err := readRequest(t, encodeRequest(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +99,27 @@ func TestRequestRoundTrip(t *testing.T) {
 	if got.Header.Get("SOAPAction") != `""` {
 		t.Fatalf("SOAPAction = %q", got.Header.Get("SOAPAction"))
 	}
+
+	// A request read with chunked framing re-encodes with Content-Length
+	// framing alone: the stored Transfer-Encoding must not reach the wire,
+	// or the next reader would look for chunks that are not there.
+	chunked, err := readRequest(t, bufio.NewReader(strings.NewReader(
+		"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = readRequest(t, encodeRequest(t, chunked))
+	if err != nil {
+		t.Fatalf("re-read of a re-encoded chunked request: %v", err)
+	}
+	if string(got.Body) != "Wikipedia" || got.Header.Has("Transfer-Encoding") || got.Header.Get("Content-Length") != "9" {
+		t.Fatalf("re-encoded chunked request: body %q, Transfer-Encoding %q, Content-Length %q",
+			got.Body, got.Header.Get("Transfer-Encoding"), got.Header.Get("Content-Length"))
+	}
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	resp := NewResponse(StatusAccepted, []byte("queued"))
-	var buf bytes.Buffer
-	if err := resp.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResponse(bufio.NewReader(&buf))
+	got, err := readResponse(t, encodeReply(StatusAccepted, []byte("queued")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +132,7 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestEmptyBodyRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	NewResponse(StatusOK, nil).Encode(&buf)
-	got, err := ReadResponse(bufio.NewReader(&buf))
+	got, err := readResponse(t, encodeReply(StatusOK, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +144,7 @@ func TestEmptyBodyRoundTrip(t *testing.T) {
 func TestReadChunkedBody(t *testing.T) {
 	raw := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
 		"4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n"
-	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
+	resp, err := readResponse(t, bufio.NewReader(strings.NewReader(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +156,7 @@ func TestReadChunkedBody(t *testing.T) {
 func TestReadChunkedWithExtensionAndTrailer(t *testing.T) {
 	raw := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
 		"3;ext=1\r\nabc\r\n0\r\nX-Trailer: v\r\n\r\n"
-	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
+	resp, err := readResponse(t, bufio.NewReader(strings.NewReader(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,18 +174,18 @@ func TestMalformedMessages(t *testing.T) {
 		"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
 	}
 	for _, raw := range bad {
-		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
-			t.Errorf("ReadRequest(%q) succeeded", raw)
+		if _, err := readRequest(t, bufio.NewReader(strings.NewReader(raw))); err == nil {
+			t.Errorf("ReadRequestInto(%q) succeeded", raw)
 		}
 	}
-	if _, err := ReadResponse(bufio.NewReader(strings.NewReader("HTTP/1.1 abc OK\r\n\r\n"))); err == nil {
-		t.Error("ReadResponse with bad status succeeded")
+	if _, err := readResponse(t, bufio.NewReader(strings.NewReader("HTTP/1.1 abc OK\r\n\r\n"))); err == nil {
+		t.Error("ReadResponseInto with bad status succeeded")
 	}
 }
 
 func TestBodyTooBig(t *testing.T) {
 	raw := "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"
-	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); !errors.Is(err, ErrBodyTooBig) {
+	if _, err := readRequest(t, bufio.NewReader(strings.NewReader(raw))); !errors.Is(err, ErrBodyTooBig) {
 		t.Fatalf("err = %v, want ErrBodyTooBig", err)
 	}
 }
@@ -152,11 +196,7 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 	f := func(body []byte, pathSuffix uint16) bool {
 		req := NewRequest("POST", "/p"+"/"+strings.Repeat("x", int(pathSuffix%32)), body)
 		req.Header.Set("Content-Type", "application/octet-stream")
-		var buf bytes.Buffer
-		if err := req.Encode(&buf); err != nil {
-			return false
-		}
-		got, err := ReadRequest(bufio.NewReader(&buf))
+		got, err := readRequest(t, encodeRequest(t, req))
 		if err != nil {
 			return false
 		}

@@ -67,13 +67,9 @@ const maxBodyBytes = 8 << 20
 // straight into its own reply this way — header values it copies across
 // stay alive because the buffer's release moves with them). That release
 // is also what returns the client connection to the idle pool, so
-// forgetting it now strands a connection besides forfeiting the buffer;
+// forgetting it strands a connection besides forfeiting the buffer;
 // a double release or a use-after-release is a bug the pool's check mode
 // (xmlsoap.EnablePoolCheck) turns into a panic.
-//
-// Messages read with plain ReadRequest/ReadResponse are fully detached —
-// GC-owned strings and body, no release obligation; those constructors
-// exist for cold paths and tests.
 type Request struct {
 	Method string
 	// Path is the request-URI as sent on the wire, e.g. "/wsd/echo".
@@ -174,11 +170,6 @@ type Response struct {
 	pooledBody
 }
 
-// NewResponse builds a response with status code and body.
-func NewResponse(status int, body []byte) *Response {
-	return &Response{Status: status, Reason: StatusText(status), Proto: "HTTP/1.1", Body: body}
-}
-
 // Reset clears the response in place for reuse (see Request.Reset); the
 // client's persistConn reuses one Response per connection through it.
 func (r *Response) Reset() {
@@ -199,56 +190,17 @@ var (
 
 // coalesceLimit is the largest body that is copied into the head's
 // pooled buffer so head and body leave in ONE Write call (one syscall,
-// one netsim segment schedule) instead of a head flush followed by a
-// body flush. It sits below maxPooledBuffer so a coalesced SOAP message
+// one netsim segment schedule) instead of a head write followed by a
+// body write. It sits below maxPooledBuffer so a coalesced SOAP message
 // never costs the pool its buffer; bigger bodies (WSDL documents,
-// batched mailbox downloads) fall back to two writes.
+// batched mailbox downloads) ride uncopied in a vectored write.
 const coalesceLimit = 32 << 10
 
-// writeMsg sends an assembled head followed by body, coalescing the two
-// into a single Write when the body is small (which on this stack is
-// every SOAP envelope). buf owns head.
-func writeMsg(w io.Writer, buf *xmlsoap.Buffer, head, body []byte) error {
-	if len(body) > 0 && len(body) <= coalesceLimit {
-		head = append(head, body...)
-		buf.B = head
-		_, err := w.Write(head)
-		return err
-	}
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Encode serializes the request to w with Content-Length framing. The
-// head is assembled in a pooled buffer, the body is batched into the
-// same write when it fits, and nothing is allocated per message.
-func (r *Request) Encode(w io.Writer) error {
-	return r.encode(w, "", false)
-}
-
-// encode is Encode with the client's per-exchange supplements: hostIfMissing
-// is emitted as the Host header when r.Header lacks one, and forceClose
-// overrides Connection with "close". Neither mutates r.Header (the seed
-// codec cloned the map instead).
-func (r *Request) encode(w io.Writer, hostIfMissing string, forceClose bool) error {
-	buf := xmlsoap.GetBuffer()
-	defer xmlsoap.PutBuffer(buf)
-	b := r.appendHead(buf.B, hostIfMissing, forceClose)
-	buf.B = b
-	return writeMsg(w, buf, b, r.Body)
-}
-
 // appendHead appends the request's wire head — request line, header
-// lines, terminating blank line — to b, with the same per-exchange
-// supplements as encode. The body is framed (Content-Length) but not
-// appended.
+// lines, terminating blank line — to b. The body is framed
+// (Content-Length) but not appended. hostIfMissing is emitted as the
+// Host header when r.Header lacks one, and forceClose overrides
+// Connection with "close"; neither mutates r.Header.
 func (r *Request) appendHead(b []byte, hostIfMissing string, forceClose bool) []byte {
 	proto := r.Proto
 	if proto == "" {
@@ -263,23 +215,24 @@ func (r *Request) appendHead(b []byte, hostIfMissing string, forceClose bool) []
 	return r.Header.appendWire(b, len(r.Body), hostIfMissing, forceClose)
 }
 
-// encodeBatch serializes a burst of requests back to back into one shared
-// pooled buffer and sends the whole batch in a single write — the
-// pipelined-delivery counterpart of writeMsg's head+body coalescing, so a
-// burst of N SOAP messages costs one syscall instead of N. Bodies above
-// coalesceLimit are not copied: each rides as its own net.Buffers element
-// between slices of the shared buffer, and the batch still leaves in one
-// WriteTo (writev on real sockets; element-wise writes on pipe-like
-// conns). Every request's Body must stay valid until encodeBatch returns;
-// ownership is not transferred.
-func encodeBatch(w io.Writer, reqs []*Request, hostIfMissing string) error {
+// encodeBatch is the request encoder: it serializes a burst of requests
+// (a lone request is a burst of one) back to back into one shared pooled
+// buffer and sends the whole burst in a single write, so a burst of N
+// SOAP messages costs one syscall instead of N. Bodies above
+// coalesceLimit are not copied: each rides as its own net.Buffers
+// element between slices of the shared buffer, and the burst still
+// leaves in one WriteTo (writev on real sockets; element-wise writes on
+// pipe-like conns). Every request's Body must stay valid until
+// encodeBatch returns; ownership is not transferred. hostIfMissing and
+// forceClose apply to every request (see appendHead).
+func encodeBatch(w io.Writer, reqs []*Request, hostIfMissing string, forceClose bool) error {
 	buf := xmlsoap.GetBuffer()
 	defer xmlsoap.PutBuffer(buf)
 	b := buf.B
 	var chain net.Buffers
 	start := 0
 	for _, r := range reqs {
-		b = r.appendHead(b, hostIfMissing, false)
+		b = r.appendHead(b, hostIfMissing, forceClose)
 		if n := len(r.Body); n > 0 && n <= coalesceLimit {
 			b = append(b, r.Body...)
 		} else if n > 0 {
@@ -299,33 +252,16 @@ func encodeBatch(w io.Writer, reqs []*Request, hostIfMissing string) error {
 	if start < len(b) {
 		chain = append(chain, b[start:])
 	}
-	_, err := chain.WriteTo(w)
-	return err
+	return writeChain(w, chain)
 }
 
-// Encode serializes the response to w with Content-Length framing, using
-// the same pooled zero-copy scheme as Request.Encode.
-func (r *Response) Encode(w io.Writer) error {
-	proto := r.Proto
-	if proto == "" {
-		proto = "HTTP/1.1"
-	}
-	reason := r.Reason
-	if reason == "" {
-		reason = StatusText(r.Status)
-	}
-	buf := xmlsoap.GetBuffer()
-	defer xmlsoap.PutBuffer(buf)
-	b := buf.B
-	b = append(b, proto...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(r.Status), 10)
-	b = append(b, ' ')
-	b = append(b, reason...)
-	b = append(b, '\r', '\n')
-	b = r.Header.appendWire(b, len(r.Body), "", false)
-	buf.B = b
-	return writeMsg(w, buf, b, r.Body)
+// writeChain sends a vectored chain. It takes the chain by value:
+// calling WriteTo (a pointer method) on encodeBatch's own variable would
+// move that variable to the heap, costing every burst an allocation even
+// when it builds no chain.
+func writeChain(w io.Writer, chain net.Buffers) error {
+	_, err := chain.WriteTo(w)
+	return err
 }
 
 // bstr views b as a string without copying. The result aliases b: it is
@@ -339,74 +275,66 @@ func bstr(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// ReadRequest parses one request from br. The returned request is fully
-// detached — GC-owned strings and body, nothing pooled, no release
-// obligation. The server's hot path uses ReadRequestPooled instead.
-func ReadRequest(br *bufio.Reader) (*Request, error) {
-	req, err := ReadRequestPooled(br)
-	if err != nil {
-		return nil, err
-	}
-	req.Method = strings.Clone(req.Method)
-	req.Path = strings.Clone(req.Path)
-	req.Proto = strings.Clone(req.Proto)
-	req.Header.Detach()
-	if req.Body != nil {
-		req.Body = append([]byte(nil), req.Body...)
-	}
-	req.Release()
-	return req, nil
-}
-
-// ReadRequestPooled is the zero-allocation request reader: the whole
-// message — head and body — lands in one pooled buffer owned by the
-// returned request, whose head fields and Body alias it. The caller
-// owns the buffer per the lifecycle contract above; on error nothing is
-// retained.
-func ReadRequestPooled(br *bufio.Reader) (*Request, error) {
-	req := &Request{}
-	if err := ReadRequestInto(br, req); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// ReadRequestInto is ReadRequestPooled reading into a caller-owned,
-// reusable request struct: req is reset, a fresh pooled buffer is drawn
-// for head+body, and on success req owns it per the usual contract. The
-// server's Exchange reads every request on a connection through one
-// struct this way, so a keep-alive connection performs zero per-request
-// message-struct allocations. The previous message must have been
-// released (or its body taken) before the struct is reused.
+// ReadRequestInto reads one request — head and body — into a
+// caller-owned, reusable request struct: req is reset, a fresh pooled
+// buffer is drawn for head+body, and on success req owns it per the
+// lifecycle contract above (head fields and Body alias it). On error
+// nothing is retained. The server's Exchange reads every request on a
+// connection through one struct this way, so a keep-alive connection
+// performs zero per-request allocations. The previous message must have
+// been released (or its body taken) before the struct is reused.
 func ReadRequestInto(br *bufio.Reader, req *Request) error {
 	req.Reset()
+	return readMessage(br, req.parseStartLine, &req.Header, &req.Body, &req.pooledBody)
+}
+
+// ReadResponseInto is ReadRequestInto for responses; the client's
+// persistConn reads every response on a connection through one struct.
+func ReadResponseInto(br *bufio.Reader, resp *Response) error {
+	resp.Reset()
+	return readMessage(br, resp.parseStartLine, &resp.Header, &resp.Body, &resp.pooledBody)
+}
+
+// readMessage is the one head+body reader behind ReadRequestInto and
+// ReadResponseInto, which differ only in parseStart. The head is read
+// into a fresh pooled buffer and parsed in place (every string aliases
+// it), the body is framed into the same buffer right behind it, and on
+// success the buffer's ownership moves to p.
+func readMessage(br *bufio.Reader, parseStart func(line string) error, h *Header, body *[]byte, p *pooledBody) error {
 	buf := xmlsoap.GetBuffer()
-	head, err := readHead(br, buf)
+	b, n, err := readWire(br, parseStart, h, buf)
 	if err != nil {
 		xmlsoap.PutBuffer(buf)
 		return err
 	}
-	if err := req.parseHead(head); err != nil {
-		xmlsoap.PutBuffer(buf)
-		return err
-	}
-	body, n, err := readBodyInto(br, &req.Header, buf.B)
-	if err != nil {
-		xmlsoap.PutBuffer(buf)
-		return err
-	}
-	buf.B = body
+	buf.B = b
 	if n > 0 {
-		req.Body = body[len(body)-n:]
+		*body = b[len(b)-n:]
 	}
-	req.buf = buf
+	p.buf = buf
 	return nil
 }
 
-// parseHead splits the request line and headers in place; every string it
-// produces aliases head.
-func (r *Request) parseHead(head []byte) error {
+// readWire reads and parses the head into buf, then appends the n body
+// bytes behind it and returns the extended slice.
+func readWire(br *bufio.Reader, parseStart func(line string) error, h *Header, buf *xmlsoap.Buffer) (b []byte, n int, err error) {
+	head, err := readHead(br, buf)
+	if err != nil {
+		return nil, 0, err
+	}
 	line, rest := nextLine(head)
+	if err := parseStart(line); err != nil {
+		return nil, 0, err
+	}
+	if err := parseHeaderLines(rest, h); err != nil {
+		return nil, 0, err
+	}
+	return readBodyInto(br, h, buf.B)
+}
+
+// parseStartLine splits the request line in place; every string it
+// produces aliases line.
+func (r *Request) parseStartLine(line string) error {
 	// Replicate strings.SplitN(line, " ", 3): exactly two single-space
 	// cuts, the remainder (which may itself contain spaces) is the
 	// protocol version.
@@ -425,69 +353,11 @@ func (r *Request) parseHead(head []byte) error {
 	r.Method = line[:i1]
 	r.Path = line[i1+1 : i1+1+i2]
 	r.Proto = proto
-	return parseHeaderLines(rest, &r.Header)
-}
-
-// ReadResponse parses one response from br. The returned response is
-// fully detached — GC-owned strings and body, no release obligation.
-// The client's hot path uses ReadResponsePooled instead.
-func ReadResponse(br *bufio.Reader) (*Response, error) {
-	resp, err := ReadResponsePooled(br)
-	if err != nil {
-		return nil, err
-	}
-	resp.Proto = strings.Clone(resp.Proto)
-	resp.Reason = strings.Clone(resp.Reason)
-	resp.Header.Detach()
-	if resp.Body != nil {
-		resp.Body = append([]byte(nil), resp.Body...)
-	}
-	resp.Release()
-	return resp, nil
-}
-
-// ReadResponsePooled is the zero-allocation response reader; like
-// ReadRequestPooled, head and body share one pooled buffer owned by the
-// returned response.
-func ReadResponsePooled(br *bufio.Reader) (*Response, error) {
-	resp := &Response{}
-	if err := ReadResponseInto(br, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// ReadResponseInto is ReadResponsePooled reading into a caller-owned,
-// reusable response struct (see ReadRequestInto); the client's
-// persistConn reads every response on a connection through one struct.
-func ReadResponseInto(br *bufio.Reader, resp *Response) error {
-	resp.Reset()
-	buf := xmlsoap.GetBuffer()
-	head, err := readHead(br, buf)
-	if err != nil {
-		xmlsoap.PutBuffer(buf)
-		return err
-	}
-	if err := resp.parseHead(head); err != nil {
-		xmlsoap.PutBuffer(buf)
-		return err
-	}
-	body, n, err := readBodyInto(br, &resp.Header, buf.B)
-	if err != nil {
-		xmlsoap.PutBuffer(buf)
-		return err
-	}
-	buf.B = body
-	if n > 0 {
-		resp.Body = body[len(body)-n:]
-	}
-	resp.buf = buf
 	return nil
 }
 
-// parseHead splits the status line and headers in place.
-func (r *Response) parseHead(head []byte) error {
-	line, rest := nextLine(head)
+// parseStartLine splits the status line in place.
+func (r *Response) parseStartLine(line string) error {
 	i1 := strings.IndexByte(line, ' ')
 	if i1 < 0 || !strings.HasPrefix(line, "HTTP/") {
 		return fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
@@ -504,7 +374,7 @@ func (r *Response) parseHead(head []byte) error {
 	}
 	r.Proto = line[:i1]
 	r.Status = status
-	return parseHeaderLines(rest, &r.Header)
+	return nil
 }
 
 // nextLine cuts the first line off head, stripping exactly one "\r\n" (or
