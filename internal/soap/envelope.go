@@ -1,7 +1,3 @@
-// Package soap implements SOAP 1.1 and 1.2 envelope construction, parsing,
-// faults, and RPC-style wrapping — the "SOAP 1.1 and 1.2
-// wrapping/unwrapping; RPC style wrapping" XSUL modules the paper's
-// WS-Dispatcher is built from.
 package soap
 
 import (

@@ -225,11 +225,11 @@ func skimHeaderBlock(raw []byte, i int, sk *Skim) (int, bool) {
 		}
 		i += len(skimAddrOpen)
 	}
+	// Values hold no space, so a whitespace-only value (which the parser
+	// drops to an empty field) stays off the fast path, and no reference,
+	// so the span is both the decoded value and its wire form.
 	lo := i
-	for i < len(raw) && skimHeaderValueByte(raw[i]) {
-		i++
-	}
-	if i == lo {
+	if i = xmlsoap.Skip(raw, i, xmlsoap.CanonValue); i == lo {
 		return 0, false
 	}
 	val := raw[lo:i]
@@ -260,16 +260,6 @@ func skimHeaderBlock(raw []byte, i int, sk *Skim) (int, bool) {
 		sk.FaultTo = val
 	}
 	return i, true
-}
-
-// skimHeaderValueByte admits printable ASCII minus the text escapes and
-// space. Excluding space keeps whitespace-only values — which the
-// parser's text handling would drop to an empty field — out of the fast
-// path; real addressing values (URIs, urn:uuid ids) never contain it.
-// Escape-free values re-escape to themselves, so the span is both the
-// decoded value and its wire form.
-func skimHeaderValueByte(c byte) bool {
-	return c > 0x20 && c < 0x7f && c != '&' && c != '<' && c != '>'
 }
 
 // skimBinding pairs a prefix with a namespace URI; both alias the input
@@ -392,46 +382,77 @@ func (s *skimSim) run(i int) (end int, ok bool) {
 }
 
 // text scans one character-data run up to the next '<'. Canonical text
-// is the serializer's escape set exactly: raw printable ASCII minus
-// &, <, > (each only as its named entity), raw tab/newline, and at
-// least one non-whitespace character (the parser drops whitespace-only
-// runs, which would change the re-render).
+// is the serializer's escape set exactly (xmlsoap.CanonText: &, <, >
+// only as their named entities, no \r, control or non-ASCII byte) and
+// holds at least one non-whitespace character (the parser drops
+// whitespace-only runs, which would change the re-render).
 func (s *skimSim) text(i int) (int, bool) {
 	raw := s.raw
 	nonWS := false
-	for i < len(raw) {
-		c := raw[i]
-		if c == '<' {
+	for {
+		j := xmlsoap.Skip(raw, i, xmlsoap.CanonText)
+		if !nonWS {
+			nonWS = hasNonSpace(raw[i:j])
+		}
+		if j == len(raw) || raw[j] == '<' {
+			i = j
 			break
 		}
-		switch {
-		case c == '&':
-			switch {
-			case hasAt(raw, i, "&amp;"):
-				i += len("&amp;")
-			case hasAt(raw, i, "&lt;"):
-				i += len("&lt;")
-			case hasAt(raw, i, "&gt;"):
-				i += len("&gt;")
-			default:
-				return 0, false
-			}
-			nonWS = true
-		case c == '>':
-			return 0, false // serializer emits &gt;
-		case c == ' ' || c == '\t' || c == '\n':
-			i++
-		case c > 0x20 && c < 0x7f:
-			nonWS = true
-			i++
-		default:
-			return 0, false // \r normalizes, non-ASCII needs rune checks
+		if i = j + entityLen(raw, j, false); i == j {
+			return 0, false // '>', \r, a control, DEL, non-ASCII or another reference
 		}
+		nonWS = true
 	}
 	if !nonWS {
 		return 0, false
 	}
 	return i, true
+}
+
+// hasNonSpace reports whether a canonical text run holds a byte other
+// than space, tab or newline.
+func hasNonSpace(run []byte) bool {
+	for _, c := range run {
+		if c != ' ' && c != '\t' && c != '\n' {
+			return true
+		}
+	}
+	return false
+}
+
+// entityLen returns the length of the canonical reference at raw[i], or
+// 0 if none starts there. Text admits the serializer's three text
+// escapes; attributes add &quot;, &#10; and &#9;.
+func entityLen(raw []byte, i int, attr bool) int {
+	if len(raw)-i < 4 {
+		return 0
+	}
+	switch raw[i+1] {
+	case 'a':
+		if hasAt(raw, i, "&amp;") {
+			return len("&amp;")
+		}
+	case 'l':
+		if hasAt(raw, i, "&lt;") {
+			return len("&lt;")
+		}
+	case 'g':
+		if hasAt(raw, i, "&gt;") {
+			return len("&gt;")
+		}
+	case 'q':
+		if attr && hasAt(raw, i, "&quot;") {
+			return len("&quot;")
+		}
+	case '#':
+		if attr && hasAt(raw, i, "&#10;") {
+			return len("&#10;")
+		}
+		if attr && hasAt(raw, i, "&#9;") {
+			return len("&#9;")
+		}
+	}
+	return 0
 }
 
 // element scans one open tag at i (raw[i] == '<') and simulates the
@@ -674,67 +695,37 @@ func skimNameByte(c byte) bool {
 
 // attrValue scans a double-quoted attribute value from i (just past the
 // opening quote) and returns the closing-quote index. Canonical values
-// are printable ASCII with the serializer's attribute escape set — raw
-// tab/newline/quote would re-escape, so they decline, as does any
-// reference outside the set.
+// are xmlsoap.CanonAttr: printable ASCII and space, with the
+// serializer's attribute escape set — raw tab/newline/quote would
+// re-escape, so they decline, as does any reference outside the set.
 func (s *skimSim) attrValue(i int) (int, bool) {
 	raw := s.raw
-	for i < len(raw) {
-		c := raw[i]
-		switch {
-		case c == '"':
-			return i, true
-		case c == '&':
-			switch {
-			case hasAt(raw, i, "&amp;"):
-				i += len("&amp;")
-			case hasAt(raw, i, "&lt;"):
-				i += len("&lt;")
-			case hasAt(raw, i, "&gt;"):
-				i += len("&gt;")
-			case hasAt(raw, i, "&quot;"):
-				i += len("&quot;")
-			case hasAt(raw, i, "&#10;"):
-				i += len("&#10;")
-			case hasAt(raw, i, "&#9;"):
-				i += len("&#9;")
-			default:
-				return 0, false
-			}
-		case c == '<' || c == '>':
-			return 0, false
-		case c >= 0x20 && c < 0x7f:
-			i++
-		default:
+	for {
+		i = xmlsoap.Skip(raw, i, xmlsoap.CanonAttr)
+		if i == len(raw) {
 			return 0, false
 		}
+		if raw[i] == '"' {
+			return i, true
+		}
+		n := entityLen(raw, i, true)
+		if n == 0 {
+			return 0, false
+		}
+		i += n
 	}
-	return 0, false
 }
 
 // declValue is attrValue restricted to non-empty reference-free URIs,
 // so a declaration's raw bytes, its decoded URI, and the re-escaped
 // form are all identical and the simulation can compare spans directly.
+// An empty binding is a parse error.
 func (s *skimSim) declValue(i int) (int, bool) {
-	raw := s.raw
-	lo := i
-	for i < len(raw) {
-		c := raw[i]
-		switch {
-		case c == '"':
-			if i == lo {
-				return 0, false // empty binding is a parse error
-			}
-			return i, true
-		case c == '&' || c == '<' || c == '>':
-			return 0, false
-		case c >= 0x20 && c < 0x7f:
-			i++
-		default:
-			return 0, false
-		}
+	j := xmlsoap.Skip(s.raw, i, xmlsoap.CanonAttr)
+	if j == i || j == len(s.raw) || s.raw[j] != '"' {
+		return 0, false
 	}
-	return 0, false
+	return j, true
 }
 
 // AppendSkimRewritten renders a complete envelope from a skimmed

@@ -2,10 +2,13 @@ package wsa
 
 import (
 	"bytes"
+	"flag"
+	"strings"
 	"testing"
 
 	"repro/internal/soap"
 	"repro/internal/xmlsoap"
+	"repro/internal/xmlsoap/xmltest"
 )
 
 // FuzzSkimDifferential fences the skim's two-sided contract against the
@@ -16,9 +19,11 @@ import (
 // rejects, extracts a different value, or splices a body whose
 // re-render differs is a divergence and fails the fuzz.
 //
-// Seeded with 1293 envelopes: the full (2 versions × 128 header shapes
-// × 5 body shapes) canonical cross product plus 13 handcrafted
-// non-canonical and malformed edge cases.
+// Seeded with the full (2 versions × 128 header shapes × 5 body shapes)
+// canonical cross product, 13 handcrafted non-canonical and malformed
+// edge cases, and the character-class word-boundary sweep
+// (xmltest.WordBoundaryRuns) in body text and an attribute value (plain
+// go test only).
 func FuzzSkimDifferential(f *testing.F) {
 	bodies := []*xmlsoap.Element{
 		xmlsoap.NewText("urn:wsd:echo", "echo", "payload"),
@@ -57,6 +62,18 @@ func FuzzSkimDifferential(f *testing.F) {
 		pre + envOpen + `<soapenv:Body><ns1:op xmlns:ns1="urn:e">x</ns1:op></soapenv:Body></soapenv:Envelope>junk`,
 	} {
 		f.Add([]byte(s))
+	}
+
+	// The word-boundary sweep in body text and in an attribute value,
+	// under plain go test only: an engine run would spend its whole
+	// budget gathering baseline coverage for ~147k seeds.
+	if fl := flag.Lookup("test.fuzz"); fl == nil || fl.Value.String() == "" {
+		frames := skimSweepFrames(f)
+		xmltest.WordBoundaryRuns(func(run []byte) {
+			for _, fr := range frames {
+				f.Add([]byte(fr[0] + string(run) + fr[1]))
+			}
+		})
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -127,4 +144,29 @@ func FuzzSkimDifferential(f *testing.F) {
 			t.Fatalf("rewrite divergence:\nskim:  %q\nparse: %q\ninput: %q", skimOut, parseOut, raw)
 		}
 	})
+}
+
+// skimSweepFrames returns canonical envelopes split around one scanned
+// run: the text of a body element and an attribute value. Each is
+// marshalled with a placeholder, so everything outside the run is
+// serializer output.
+func skimSweepFrames(t testing.TB) [][2]string {
+	const mark = "RUNMARK"
+	envs := []*soap.Envelope{
+		soap.New(soap.V11).SetBody(xmlsoap.NewText("urn:wsd:echo", "echo", mark)),
+		soap.New(soap.V11).SetBody(xmlsoap.NewText("urn:x:1", "op", "x").SetAttr("", "k", mark)),
+	}
+	frames := make([][2]string, len(envs))
+	for k, env := range envs {
+		raw, err := MarshalEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, after, ok := strings.Cut(string(raw), mark)
+		if !ok {
+			t.Fatalf("no run placeholder in %q", raw)
+		}
+		frames[k] = [2]string{before, after}
+	}
+	return frames
 }

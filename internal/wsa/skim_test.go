@@ -292,17 +292,28 @@ type skimBenchEnvelope struct {
 	raw  []byte
 }
 
-// skimBenchEnvelopes are the standard dispatcher envelope and one whose
-// body is 64 KiB of alphanumeric text — the top of the msg-reply
-// workload's log-uniform body-size range, where the byte-at-a-time scan
-// competes with the parser's bulk text handling.
+// skimBenchEnvelopes are the standard dispatcher envelope and two whose
+// body is 64 KiB of text — the top of the msg-reply workload's
+// log-uniform body-size range. The alphanumeric body is one long plain
+// run, the case the word-at-a-time scan is built for; the escaped body
+// breaks the run every few bytes (one entity per 8 bytes plus tab and
+// newline runs), the case it does not favour.
 func skimBenchEnvelopes(t testing.TB) []skimBenchEnvelope {
 	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 	text := strings.Repeat(alphabet, 64<<10/len(alphabet)+1)[:64<<10]
 	return []skimBenchEnvelope{
 		{"standard", skimStandardEnvelope(t)},
 		{"body=64KiB", skimEnvelopeWithBody(t, xmlsoap.NewText("urn:wsd:echo", "echo", text))},
+		{"body=64KiB-escaped", skimEnvelopeWithBody(t, xmlsoap.NewText("urn:wsd:echo", "echo", escapedBenchText(64<<10)))},
 	}
+}
+
+// escapedBenchText returns n bytes of text with an escapable byte in
+// every 8 and two tab/newline runs in every 64, the same text as the
+// xmlsoap escaper benchmark's 64KiB-escaped row.
+func escapedBenchText(n int) string {
+	const block = "Lorem i&psum d<lor sit>\t\n\tamet, c&nsec<tetur\n\n\t\tadi>isc&ng e<it "
+	return strings.Repeat(block, n/len(block)+1)[:n]
 }
 
 // TestSkimZeroAlloc is the tentpole's core gate: scanning plus the

@@ -52,10 +52,23 @@
 //     TestRoundTripSteadyStateAllocs budgets a whole canonical exchange
 //     (≤7 allocations) and pins the parse fallback's count. BenchmarkSkim,
 //     BenchmarkSkimRewrite and BenchmarkParseRewrite ride CI's bench
-//     smoke; Skim and ParseRewrite also run a 64 KiB body, where the
-//     byte-at-a-time scan costs more than the parse. Change what the skim
-//     accepts only together with the fuzz seeds and the parser: the
-//     differential property is the contract.
+//     smoke; Skim and ParseRewrite also run 64 KiB bodies, one plain
+//     and one with an escape in every 8 bytes. Which bytes each scanned
+//     run may hold is xmlsoap's CanonText, CanonAttr and CanonValue (see
+//     the xmlsoap package doc). Change what the skim accepts only
+//     together with the fuzz seeds and the parser: the differential
+//     property is the contract.
+//
+// # The fused rewrite
+//
+// AppendRewritten(dst, env, h) renders env with h replacing every
+// WS-Addressing header in one pass: header values are spliced straight
+// from h through the skeleton cache (see the soap package doc), with no
+// allocation (TestAppendRewrittenZeroAlloc) and output byte-identical to
+// Apply followed by AppendEnvelope (TestAppendRewrittenMatchesApply).
+// Both dispatchers' forward and reply legs, the async echo reply and the
+// peer messenger use it; the MSG-Dispatcher's two constant ReplyTo
+// rewrites are built once (msgdisp's selfEPR and noneEPR).
 package wsa
 
 import (

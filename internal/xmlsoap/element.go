@@ -1,16 +1,3 @@
-// Package xmlsoap is a namespace-aware XML infoset: a small element tree
-// with a zero-copy streaming pull parser (see Parse for the aliasing
-// contract; internal/xmlsoap/refparser is its frozen oracle) and a
-// deterministic, prefix-assigning serializer (internal/xmlsoap/refcodec
-// is that side's frozen oracle).
-//
-// The paper's stack manipulates SOAP messages structurally — the
-// MSG-Dispatcher "parses the WS-Addressing message of the request to modify
-// client's information with MSG-Dispatcher's return address" — which needs
-// an editable tree, not struct (un)marshalling. encoding/xml's struct
-// mapping cannot re-serialize foreign namespaces faithfully, so this
-// package implements the tree directly (the repro guidance for Go notes the
-// weak SOAP ecosystem and the need to hand-roll envelopes).
 package xmlsoap
 
 import (

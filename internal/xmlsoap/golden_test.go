@@ -3,10 +3,12 @@ package xmlsoap_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/xmlsoap"
 	"repro/internal/xmlsoap/refcodec"
+	"repro/internal/xmlsoap/xmltest"
 )
 
 // goldenCorpus returns element trees covering every structural feature
@@ -224,5 +226,46 @@ func TestMarshalDocSplit(t *testing.T) {
 	r2 := xmlsoap.New(env, "Envelope").Add(empty)
 	if _, _, _, err := xmlsoap.MarshalDocSplit(r2, empty); err == nil {
 		t.Fatal("MarshalDocSplit accepted a content-free target")
+	}
+}
+
+// escapeSweepInputs are the strings the escapers are compared on beyond
+// the golden corpus: every word-boundary sweep run, and mixed ASCII with
+// valid and invalid UTF-8 at and around word boundaries (a non-ASCII
+// rune between long plain runs, truncated and overlong sequences,
+// encoded surrogates, a literal U+FFFD, and runes next to escapes).
+func escapeSweepInputs() []string {
+	var in []string
+	xmltest.WordBoundaryRuns(func(run []byte) { in = append(in, string(run)) })
+	long := strings.Repeat("plain ascii run ", 8)
+	for _, s := range []string{
+		"é", "日本語", "😀", "\uFFFD", "\xff", "\xc3", "\xe6\x97", "\xf0\x9f\x98",
+		"\xc0\xaf", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\x80\x80\x80",
+		"é&<>\"\n\t", "&é<日>本\"語", "a\xffb&c\xfe<d", "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7",
+		"1234567é", "12345678é", "123456789é", "1234567\xff", "12345678\xff",
+		"héllo wörld — 日本語", "ok\xffbad\xfe",
+	} {
+		in = append(in, s, long+s, s+long, long+s+long, long+s+"&"+long+s)
+	}
+	return in
+}
+
+// TestEscapeSweepMatchesRefcodec holds the escapers byte-identical to the
+// frozen seed codec, which escapes rune by rune (U+FFFD for invalid
+// UTF-8), on every escape sweep input in text and in an attribute.
+func TestEscapeSweepMatchesRefcodec(t *testing.T) {
+	for _, s := range escapeSweepInputs() {
+		tree := xmlsoap.NewText("", "e", s).SetAttr("", "a", s)
+		want, err := refcodec.Marshal(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := xmlsoap.Marshal(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("escape mismatch on %q:\nseed: %q\nnew:  %q", s, want, got)
+		}
 	}
 }

@@ -243,45 +243,26 @@ func (g *prefixGen) generated(i int) string {
 }
 
 // AppendEscapedText appends s to dst with the text-content escapes
-// (&, <, >) applied, copying in spans between escapable bytes. ASCII
-// content — all SOAP framing and WS-Addressing values — never allocates.
+// (&, <, >) applied, copying in spans between escapable bytes. It never
+// allocates beyond dst growth.
 func AppendEscapedText(dst []byte, s string) []byte {
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			// Defer to the rune-accurate path so invalid UTF-8 is
-			// replaced (U+FFFD) exactly as the rune-at-a-time
-			// serializer always did.
-			return appendEscapedRunes(append(dst, s[start:i]...), s[i:], false)
-		}
-		var esc string
-		switch c {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		default:
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		dst = append(dst, esc...)
-		start = i + 1
-	}
-	return append(dst, s[start:]...)
+	return appendEscaped(dst, s, escapeText)
 }
 
 // AppendEscapedAttr appends s to dst with the attribute-value escapes
 // (&, <, >, ", newline, tab) applied.
 func AppendEscapedAttr(dst []byte, s string) []byte {
+	return appendEscaped(dst, s, escapeAttr)
+}
+
+// appendEscaped copies s into dst run by run, stopping only at the
+// bytes ctx escapes and at non-ASCII. A valid UTF-8 sequence stays part
+// of the run; an invalid byte becomes U+FFFD, as the rune-at-a-time
+// serializer this replaced always rendered it.
+func appendEscaped(dst []byte, s string, ctx Context) []byte {
 	start := 0
-	for i := 0; i < len(s); i++ {
+	for i := skip(s, 0, ctx); i < len(s); i = skip(s, i, ctx) {
 		c := s[i]
-		if c >= utf8.RuneSelf {
-			return appendEscapedRunes(append(dst, s[start:i]...), s[i:], true)
-		}
 		var esc string
 		switch c {
 		case '&':
@@ -297,38 +278,19 @@ func AppendEscapedAttr(dst []byte, s string) []byte {
 		case '\t':
 			esc = "&#9;"
 		default:
-			continue
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			esc = string(utf8.RuneError)
 		}
 		dst = append(dst, s[start:i]...)
 		dst = append(dst, esc...)
-		start = i + 1
+		i++
+		start = i
 	}
 	return append(dst, s[start:]...)
-}
-
-// appendEscapedRunes is the rune-at-a-time escape path for non-ASCII
-// input, matching the historical strings.Builder serializer byte for
-// byte (including U+FFFD replacement of invalid sequences).
-func appendEscapedRunes(dst []byte, s string, attr bool) []byte {
-	for _, r := range s {
-		switch {
-		case r == '&':
-			dst = append(dst, "&amp;"...)
-		case r == '<':
-			dst = append(dst, "&lt;"...)
-		case r == '>':
-			dst = append(dst, "&gt;"...)
-		case attr && r == '"':
-			dst = append(dst, "&quot;"...)
-		case attr && r == '\n':
-			dst = append(dst, "&#10;"...)
-		case attr && r == '\t':
-			dst = append(dst, "&#9;"...)
-		default:
-			dst = utf8.AppendRune(dst, r)
-		}
-	}
-	return dst
 }
 
 // Binding pairs a namespace URI with the prefix it is declared under.

@@ -9,32 +9,8 @@ import (
 	"unsafe"
 )
 
-// Parsing in this package is a hand-rolled streaming pull parser over a
-// byte slice: a tokenizer (scan.go) that replicates encoding/xml's
-// byte-level token grammar, a namespace-prefix scope stack, and a tree
-// builder that records the document into reusable per-Decoder scratch and
-// materializes the final tree with a handful of arena allocations. The
-// frozen oracle for its behavior is internal/xmlsoap/refparser (the seed
-// encoding/xml-based parser plus the agreed typed-error gap fixes);
-// FuzzParseDifferential and the golden parse suite enforce that both
-// accept the same documents and produce identical trees.
-//
-// # Aliasing contract
-//
-// Parsed trees alias the input: Name, Attr, and Text strings are
-// span-slices of the data passed to Parse (escaped or concatenated runs
-// are copied into one tree-owned arena; hot SOAP/WS-Addressing vocabulary
-// resolves to interned canonical strings). Callers therefore must not
-// modify data while the tree is live, and anything that outlives data's
-// own lifetime must be copied out first (Element.Detach, strings.Clone).
-// In particular, parsing a pooled Buffer's bytes requires detaching
-// whatever survives PutBuffer — the same copy-out rule ROADMAP's "Wire
-// codec" contract imposes on raw buffer bytes. HTTP request/response
-// bodies in this stack are GC-owned heap slices, so trees parsed from
-// them stay valid for as long as they are referenced; retaining a small
-// header string still pins the whole body, which is why long-lived
-// retention sites (the MSG-Dispatcher's pending-reply map, the peer
-// client's mailbox handle) detach explicitly.
+// The package doc describes the parser, its oracle and fences, and the
+// aliasing contract of parsed trees.
 
 // ErrNoContent is returned when the input holds no element.
 var ErrNoContent = errors.New("xmlsoap: no element content")

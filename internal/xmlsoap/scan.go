@@ -144,38 +144,6 @@ func spanEq(data []byte, aLo, aHi, bLo, bHi int) bool {
 
 // --- character data ---
 
-// Stop-byte tables: the fast scan skips every byte that cannot affect
-// the character-data state machine in its mode. Bytes >= 0x80 and
-// controls stay "boring" — the post-scan validation pass rejects bad
-// ones exactly as the reference tokenizer's end-of-run validation does.
-var (
-	textStop  [256]bool // element content: terminator, entity, ]]> guard, \r
-	cdataStop [256]bool // CDATA: terminator arm and \r only
-	attrStop  [256]bool // attribute value: quotes, markup guards, entity, \r
-)
-
-func init() {
-	for _, c := range []byte{'<', '&', ']', '\r'} {
-		textStop[c] = true
-	}
-	for _, c := range []byte{']', '\r'} {
-		cdataStop[c] = true
-	}
-	for _, c := range []byte{'"', '\'', '<', '&', '\r'} {
-		attrStop[c] = true
-	}
-	// Character validation runs inline in the scan: every byte the XML
-	// Char production excludes — and every multi-byte lead — stops the
-	// fast loop so it can be checked rune-accurately.
-	for c := 0; c < 256; c++ {
-		if c < 0x20 && c != 0x09 && c != 0x0A && c != 0x0D || c >= 0x80 {
-			textStop[c] = true
-			cdataStop[c] = true
-			attrStop[c] = true
-		}
-	}
-}
-
 // scanText scans one character-data run starting at d.pos and returns a
 // reference to its decoded bytes. Termination:
 //
@@ -189,24 +157,24 @@ func init() {
 // three-byte lookahead on raw input, which is equivalent to the
 // reference tokenizer's two-bytes-of-history machine (with its reset at
 // entity boundaries) because neither ']' nor '>' can occur inside an
-// entity reference's raw bytes.
+// entity reference's raw bytes. Skip passes over everything else: the
+// parseText, parseCDATA and parseAttr stop sets hold every byte the
+// state machine or the Char check must see.
 func (d *Decoder) scanText(quote int, cdata bool) (sref, error) {
 	data := d.data
 	start := d.pos
 	segStart := start
 	escStart := int32(len(d.esc))
 	dirty := false
-	stop := &textStop
+	ctx := parseText
 	if cdata {
-		stop = &cdataStop
+		ctx = parseCDATA
 	} else if quote >= 0 {
-		stop = &attrStop
+		ctx = parseAttr
 	}
 	i := d.pos
 	for {
-		for i < len(data) && !stop[data[i]] {
-			i++
-		}
+		i = skip(data, i, ctx)
 		if i >= len(data) {
 			if cdata {
 				return sref{}, d.syntaxAt(i, "unexpected EOF in CDATA section")
