@@ -95,3 +95,51 @@ func TestChunkedEdgeCases(t *testing.T) {
 		}
 	})
 }
+
+// TestReadBodyIntoReusesCapacity: a body that fits the buffer's spare
+// capacity is read in place, and a failed read hands the buffer back cut
+// to the body's start, so the stale bytes of a reused buffer never pass
+// for body bytes.
+func TestReadBodyIntoReusesCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name, header, wire, body string
+	}{
+		{"content-length", "Content-Length", "abcdef", "abcdef"},
+		{"chunked", "Transfer-Encoding", "3\r\nabc\r\n3\r\ndef\r\n0\r\n\r\n", "abcdef"},
+		{"content-length short", "Content-Length", "abc", ""},
+		{"chunked short", "Transfer-Encoding", "3\r\nabc\r\n8\r\nde", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h Header
+			if tc.header == "Content-Length" {
+				h.Set("Content-Length", "6")
+			} else {
+				h.Set("Transfer-Encoding", "chunked")
+			}
+			buf := make([]byte, 64)
+			for i := range buf {
+				buf[i] = 'X' // a previous message's bytes
+			}
+			dst := append(buf[:0], "HEAD"...)
+			got, n, err := readBodyInto(bufio.NewReader(strings.NewReader(tc.wire)), &h, dst)
+			if tc.body == "" {
+				if err == nil {
+					t.Fatal("truncated body accepted")
+				}
+				if len(got) != len("HEAD") {
+					t.Fatalf("failed read returned %q, want the head alone", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &got[0] != &buf[0] {
+				t.Fatal("body that fits the spare capacity moved the buffer")
+			}
+			if string(got) != "HEAD"+tc.body || n != len(tc.body) {
+				t.Fatalf("read %q (n=%d), want %q", got, n, "HEAD"+tc.body)
+			}
+		})
+	}
+}

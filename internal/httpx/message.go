@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -515,7 +516,9 @@ func trimLineEnd(line string) string {
 // buffer, already holding the head) and returns the extended slice plus
 // the number of body bytes read. Growing dst may move it to a fresh
 // array; head strings keep aliasing the old bytes, which stay valid for
-// the message's lifetime either way.
+// the message's lifetime either way. On a read error the returned slice
+// is dst cut back to the body's start, so stale bytes of a reused
+// buffer never show as body.
 func readBodyInto(br *bufio.Reader, h *Header, dst []byte) ([]byte, int, error) {
 	if strings.EqualFold(h.Get("Transfer-Encoding"), "chunked") {
 		return readChunkedInto(br, dst)
@@ -532,9 +535,9 @@ func readBodyInto(br *bufio.Reader, h *Header, dst []byte) ([]byte, int, error) 
 		return dst, 0, ErrBodyTooBig
 	}
 	start := len(dst)
-	dst = appendZeros(dst, n)
+	dst = extend(dst, n)
 	if _, err := io.ReadFull(br, dst[start:]); err != nil {
-		return dst, 0, err
+		return dst[:start], 0, err
 	}
 	return dst, n, nil
 }
@@ -544,7 +547,7 @@ func readChunkedInto(br *bufio.Reader, dst []byte) ([]byte, int, error) {
 	for {
 		line, err := readLineAlloc(br)
 		if err != nil {
-			return dst, 0, err
+			return dst[:start], 0, err
 		}
 		// Ignore chunk extensions.
 		if i := strings.IndexByte(line, ';'); i >= 0 {
@@ -552,14 +555,14 @@ func readChunkedInto(br *bufio.Reader, dst []byte) ([]byte, int, error) {
 		}
 		size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 32)
 		if err != nil || size < 0 {
-			return dst, 0, fmt.Errorf("%w: bad chunk size %q", ErrMalformed, line)
+			return dst[:start], 0, fmt.Errorf("%w: bad chunk size %q", ErrMalformed, line)
 		}
 		if size == 0 {
 			// Trailer section: read until blank line.
 			for {
 				t, err := readLineAlloc(br)
 				if err != nil {
-					return dst, 0, err
+					return dst[:start], 0, err
 				}
 				if t == "" {
 					return dst, len(dst) - start, nil
@@ -567,23 +570,22 @@ func readChunkedInto(br *bufio.Reader, dst []byte) ([]byte, int, error) {
 			}
 		}
 		if len(dst)-start+int(size) > maxBodyBytes {
-			return dst, 0, ErrBodyTooBig
+			return dst[:start], 0, ErrBodyTooBig
 		}
 		chunkStart := len(dst)
-		dst = appendZeros(dst, int(size))
+		dst = extend(dst, int(size))
 		if _, err := io.ReadFull(br, dst[chunkStart:]); err != nil {
-			return dst, 0, err
+			return dst[:start], 0, err
 		}
 		// Trailing CRLF after each chunk.
 		if _, err := readLineAlloc(br); err != nil {
-			return dst, 0, err
+			return dst[:start], 0, err
 		}
 	}
 }
 
-// appendZeros extends dst by n zero bytes, reusing capacity when it can
-// (the compiler lowers this append form to growslice+memclr with no
-// temporary).
-func appendZeros(dst []byte, n int) []byte {
-	return append(dst, make([]byte, n)...)
+// extend lengthens dst by n bytes the caller is about to overwrite.
+// Within capacity the bytes are not cleared; only a grow allocates.
+func extend(dst []byte, n int) []byte {
+	return slices.Grow(dst, n)[:len(dst)+n]
 }

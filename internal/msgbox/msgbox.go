@@ -30,6 +30,13 @@
 // its messages, preserving arrival order. The store must be private to
 // this service (a courier sharing it would try to "deliver" mailbox
 // records to their pseudo-destinations).
+//
+// Payload ownership: a parked message is one immutable []byte. Delivery
+// copies the request body once, into an exact-size slice (the pooled
+// request buffer goes back to the connection), and with a store the
+// same slice is handed to store.Put, so the mailbox and the store share
+// it. Start parks the slices store.PendingFor returns without copying
+// them. Nothing parked holds a pooled buffer.
 package msgbox
 
 import (
@@ -49,7 +56,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/wsa"
-	"repro/internal/xmlsoap"
 )
 
 // metaDest is the pseudo-destination under which mailbox metadata
@@ -150,19 +156,15 @@ type Mailbox struct {
 	// Created is the creation timestamp.
 	Created time.Time
 
-	// msgs holds stored payloads as pooled buffers the mailbox owns:
-	// each buffer is drawn at delivery (serveDeliver copies the request
-	// body into it, since stored messages outlive the exchange) and
-	// released exactly once — when the owner takes the message, when
-	// the box is destroyed, or when a full box refuses it.
+	// msgs holds the parked messages in arrival order.
 	msgs *queue.FIFO[boxMsg]
 }
 
-// boxMsg is one parked message: its payload buffer (single-release
-// ownership per the Mailbox.msgs contract) and, when the service is
-// store-backed, the ID of its durable record.
+// boxMsg is one parked message: its read-only payload (shared with the
+// store when the service is store-backed) and the ID of its durable
+// record, if any.
 type boxMsg struct {
-	payload *xmlsoap.Buffer
+	payload []byte
 	sid     string
 }
 
@@ -219,15 +221,16 @@ func (s *Service) Start() error {
 		}
 		// PendingFor preserves arrival order, so the owner takes
 		// messages in the order they were delivered before the restart.
-		for _, rec := range st.PendingFor(msgDest(boxID), 0) {
-			payload := xmlsoap.GetBuffer()
-			payload.B = append(payload.B, rec.Payload...)
-			if err := mb.msgs.TryPut(boxMsg{payload: payload, sid: rec.ID}); err != nil {
-				// Over a (shrunken) BoxCap: the overflow is dropped for
-				// good, matching the live-delivery refusal path.
-				xmlsoap.PutBuffer(payload)
-				st.Delete(rec.ID)
-			}
+		recs := st.PendingFor(msgDest(boxID), 0)
+		parked := make([]boxMsg, len(recs))
+		for i, rec := range recs {
+			parked[i] = boxMsg{payload: rec.Payload, sid: rec.ID}
+		}
+		n, _ := mb.msgs.TryPutBatch(parked)
+		// Over a (shrunken) BoxCap: the overflow is dropped for good,
+		// matching the live-delivery refusal path.
+		for _, rec := range recs[n:] {
+			st.Delete(rec.ID)
 		}
 		s.boxes.Put(mb.ID, mb)
 	}
@@ -245,15 +248,12 @@ func (s *Service) Stop() {
 	})
 }
 
-// releaseBox closes a mailbox and returns its undelivered payload
-// buffers to the pool (each stored buffer's single release). Durable
-// records are NOT touched here: Stop keeps them for the next Start, and
-// rpcDestroy deletes them itself after the queue is closed.
+// releaseBox closes a mailbox and drops its undelivered messages.
+// Durable records are NOT touched here: Stop keeps them for the next
+// Start, and rpcDestroy deletes them itself after the queue is closed.
 func releaseBox(mb *Mailbox) {
 	mb.msgs.Close()
-	for _, m := range mb.msgs.Drain() {
-		xmlsoap.PutBuffer(m.payload)
-	}
+	mb.msgs.Drain()
 }
 
 // Boxes returns the number of live mailboxes.
@@ -291,14 +291,11 @@ func (s *Service) serveDeliver(boxID string, ex *httpx.Exchange) {
 		soap.ReplyFault(ex, httpx.StatusNotFound, soap.FaultClient, "no such mailbox")
 		return
 	}
-	// Stored messages outlive the exchange (ROADMAP "Wire codec"
-	// copy-out rule), so the request body — itself a pooled buffer the
-	// connection releases after this reply — is copied into a buffer of
-	// the mailbox's own before Serve returns. From here the payload
-	// buffer has single-release ownership: storeMessage's refusal path,
-	// rpcTake, or releaseBox returns it to the pool.
-	payload := xmlsoap.GetBuffer()
-	payload.B = append(payload.B, ex.Req.Body...)
+	// Parked messages outlive the exchange, and the request body is a
+	// pooled buffer the connection reuses after this reply: copy it
+	// once, into the immutable slice the box and the store share.
+	payload := make([]byte, len(ex.Req.Body))
+	copy(payload, ex.Req.Body)
 
 	switch s.cfg.Mode {
 	case ModeBuggy:
@@ -309,10 +306,9 @@ func (s *Service) serveDeliver(boxID string, ex *httpx.Exchange) {
 }
 
 // deliverFixed hands the store to the bounded pool: the redesign.
-func (s *Service) deliverFixed(mb *Mailbox, payload *xmlsoap.Buffer, ex *httpx.Exchange) {
+func (s *Service) deliverFixed(mb *Mailbox, payload []byte, ex *httpx.Exchange) {
 	err := s.store.TrySubmit(func() { s.storeMessage(mb, payload) })
 	if err != nil {
-		xmlsoap.PutBuffer(payload)
 		s.StoreFailures.Inc()
 		soap.ReplyFault(ex, httpx.StatusServiceUnavailable, soap.FaultServer, "mailbox store overloaded")
 		return
@@ -324,9 +320,8 @@ func (s *Service) deliverFixed(mb *Mailbox, payload *xmlsoap.Buffer, ex *httpx.E
 // message, each lingering while it "tries to send a reply message". The
 // thread stack is charged to the ledger; exhaustion is the
 // OutOfMemoryError of §4.3.2.
-func (s *Service) deliverBuggy(mb *Mailbox, payload *xmlsoap.Buffer, ex *httpx.Exchange) {
+func (s *Service) deliverBuggy(mb *Mailbox, payload []byte, ex *httpx.Exchange) {
 	if err := s.cfg.Ledger.SpawnThread(); err != nil {
-		xmlsoap.PutBuffer(payload)
 		s.OOMEvents.Inc()
 		s.StoreFailures.Inc()
 		soap.ReplyFault(ex, httpx.StatusInternalServerError, soap.FaultServer,
@@ -346,7 +341,9 @@ func (s *Service) deliverBuggy(mb *Mailbox, payload *xmlsoap.Buffer, ex *httpx.E
 	ex.ReplyBytes(httpx.StatusAccepted, nil)
 }
 
-func (s *Service) storeMessage(mb *Mailbox, payload *xmlsoap.Buffer) {
+// storeMessage parks payload in mb, handing the slice to the store
+// first when the service is store-backed.
+func (s *Service) storeMessage(mb *Mailbox, payload []byte) {
 	var sid string
 	if st := s.cfg.Store; st != nil {
 		// Write-ahead: the record is durable (per the WAL sync policy)
@@ -357,9 +354,8 @@ func (s *Service) storeMessage(mb *Mailbox, payload *xmlsoap.Buffer) {
 		if err := st.Put(&store.Message{
 			ID:          sid,
 			Destination: msgDest(mb.ID),
-			Payload:     payload.B,
+			Payload:     payload,
 		}); err != nil {
-			xmlsoap.PutBuffer(payload)
 			s.StoreFailures.Inc()
 			return
 		}
@@ -368,7 +364,6 @@ func (s *Service) storeMessage(mb *Mailbox, payload *xmlsoap.Buffer) {
 		if sid != "" {
 			s.cfg.Store.Delete(sid)
 		}
-		xmlsoap.PutBuffer(payload)
 		s.StoreFailures.Inc()
 		return
 	}
@@ -473,10 +468,7 @@ func (s *Service) rpcTake(ex *httpx.Exchange, v soap.Version, call *soap.Call) {
 			break
 		}
 		n++
-		// The string conversion copies the payload into the response
-		// being built, which is the taken buffer's last use.
-		params = append(params, soap.Param{Name: fmt.Sprintf("msg%d", n), Value: string(m.payload.B)})
-		xmlsoap.PutBuffer(m.payload)
+		params = append(params, soap.Param{Name: fmt.Sprintf("msg%d", n), Value: string(m.payload)})
 		if m.sid != "" {
 			// Taken: the durable record is spent. (If the delete cannot
 			// be logged the message may reappear after a crash — at-

@@ -141,10 +141,11 @@ func (c *Courier) Send(destURL string, env *soap.Envelope) (string, error) {
 // uses it to hand failed deliveries over for hold/retry without
 // re-parsing. An empty id gets a fresh MessageID.
 //
-// Ownership: the payload, id and destination are copied out — the store
-// holds them until delivery or TTL expiry, while callers routinely pass
-// bytes and strings that alias a pooled message buffer they release on
-// return.
+// Ownership: the payload, id and destination are copied out — callers
+// routinely pass bytes and strings that alias a pooled message buffer
+// they release on return. The payload copy is handed to the store
+// (store.Put keeps it) and is the only one held until delivery or TTL
+// expiry.
 func (c *Courier) SendPayload(destURL, id string, payload []byte) (string, error) {
 	if id == "" {
 		id = wsa.NewMessageID()

@@ -1,39 +1,9 @@
-// Package store is the message store behind reliable ("hold/retry")
-// delivery and durable mailboxes. The paper's future-work section proposes
-// exactly this: "improve forwarding service by adding hold/retry on
-// delivery ... with messages stored in DB with expiration time" (they
-// planned MySQL; an embedded write-ahead log with an in-memory index
-// preserves the behaviour — durable enqueue, expiry, replay on restart —
-// without an external database).
-//
-// Durability rides internal/wal: every mutation is appended to the
-// segmented, checksummed log BEFORE the in-memory index changes, and the
-// append error — if any — is returned to the caller, so Put/Delete/
-// MarkAttempt cannot report success for a record that never reached the
-// log. Open replays the log on start; a torn tail from a crash
-// mid-append is truncated away by the WAL layer, never fatal. When the
-// log grows past roughly twice the live state, the store compacts it: a
-// snapshot of the live messages becomes the new base segment and the
-// retired segments are deleted.
-//
-// The JSON-lines format of earlier versions survives only as a one-shot
-// migration: OpenFile on a legacy log replays it tolerantly (a corrupt
-// FINAL line is a torn tail and is dropped; corruption earlier is an
-// error), snapshots the result into the WAL directory at path+".wal",
-// and removes the JSON file. The migration is idempotent — the JSON file
-// is deleted only after the snapshot is durably installed, so a crash
-// anywhere mid-migration just redoes it from the JSON on the next open.
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"sync"
 	"time"
 
@@ -44,17 +14,18 @@ import (
 // Message is one stored message awaiting delivery.
 type Message struct {
 	// ID is globally unique (normally the WS-Addressing MessageID).
-	ID string `json:"id"`
+	ID string
 	// Destination is the delivery target URL.
-	Destination string `json:"dest"`
-	// Payload is the serialized envelope.
-	Payload []byte `json:"payload"`
+	Destination string
+	// Payload is the serialized envelope. Once stored it is immutable
+	// and owned by the store (see the package doc).
+	Payload []byte
 	// Enqueued is when the message entered the store.
-	Enqueued time.Time `json:"enqueued"`
+	Enqueued time.Time
 	// Expires is when the message is abandoned. Zero means never.
-	Expires time.Time `json:"expires"`
+	Expires time.Time
 	// Attempts counts delivery tries so far.
-	Attempts int `json:"attempts"`
+	Attempts int
 }
 
 // Expired reports whether the message is past its expiration at now.
@@ -160,33 +131,6 @@ func Open(clk clock.Clock, dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// OpenFile opens the durable store whose write-ahead log lives in the
-// directory path+".wal". A legacy JSON-lines log at path itself is
-// migrated: replayed (tolerating a torn final line), snapshotted into
-// the WAL, and removed.
-func OpenFile(clk clock.Clock, path string) (*Store, error) {
-	legacy, readErr := os.ReadFile(path)
-	if readErr != nil && !errors.Is(readErr, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: open %s: %w", path, readErr)
-	}
-	s, err := Open(clk, path+".wal", Options{})
-	if err != nil {
-		return nil, err
-	}
-	if readErr != nil { // no legacy log; the WAL is the state
-		return s, nil
-	}
-	if err := s.migrateJSON(legacy); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := os.Remove(path); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("store: retire legacy log %s: %w", path, err)
-	}
-	return s, nil
-}
-
 // Close syncs and releases the backing log, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -214,71 +158,6 @@ func (s *Store) Sync() error {
 // compactions, torn-tail truncations) for stats surfaces and tests.
 // Nil for in-memory stores.
 func (s *Store) WAL() *wal.Log { return s.log }
-
-// walRecord is one line of the LEGACY JSON log, kept for migration.
-type walRecord struct {
-	Op  string   `json:"op"` // "put", "del", "att"
-	Msg *Message `json:"msg,omitempty"`
-	ID  string   `json:"id,omitempty"`
-}
-
-// migrateJSON replays a legacy JSON-lines log over whatever state the
-// WAL held (a crashed earlier migration's partial writes are discarded
-// wholesale — the JSON is still the source of truth until it is
-// removed), then compacts so the WAL's base snapshot IS the migrated
-// state.
-func (s *Store) migrateJSON(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byID = make(map[string]*Message)
-	s.byDest = make(map[string][]string)
-	s.liveBytes = 0
-	if err := s.replayJSONLocked(data); err != nil {
-		return err
-	}
-	return s.compactLocked()
-}
-
-// replayJSONLocked applies legacy log lines to the in-memory state
-// only. A line that fails to parse is fatal UNLESS it is the final
-// non-empty line — that is the torn tail of a crash mid-append, and
-// recovery means dropping it, not refusing to start.
-func (s *Store) replayJSONLocked(data []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var torn bool
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if torn {
-			// A parse failure followed by more content is not a torn
-			// tail; it is corruption in the middle of the log.
-			return errors.New("store: corrupt legacy log line")
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			torn = true
-			continue
-		}
-		switch rec.Op {
-		case "put":
-			if rec.Msg != nil {
-				if _, dup := s.byID[rec.Msg.ID]; !dup {
-					s.insertLocked(rec.Msg)
-				}
-			}
-		case "del":
-			s.removeLocked(rec.ID)
-		case "att":
-			if m := s.byID[rec.ID]; m != nil {
-				m.Attempts++
-			}
-		}
-	}
-	return sc.Err()
-}
 
 // encodeStaged is the WAL encode callback: it appends the staged
 // operation (encOp/encMsg/encID, set under mu) to dst. One method value
@@ -342,6 +221,8 @@ func (s *Store) applyRecord(rec []byte) error {
 }
 
 // decodePut decodes a put record body into a freshly allocated Message.
+// Its payload copy out of the replay buffer is the one copy of a
+// recovered message the process holds.
 func decodePut(b []byte) (*Message, error) {
 	if len(b) < 1 {
 		return nil, errBadRecord
@@ -409,6 +290,10 @@ func (s *Store) appendStagedLocked() error {
 // a WAL attached, the record is on the log (durable per the configured
 // sync policy) before Put returns nil; a log error is returned and the
 // message is NOT stored.
+//
+// Put keeps m.Payload without copying it: the caller hands the slice
+// over and must not modify it afterwards. The Message struct itself is
+// copied, so the caller may reuse it.
 func (s *Store) Put(m *Message) error {
 	if m.ID == "" {
 		return errors.New("store: empty message id")
@@ -422,7 +307,6 @@ func (s *Store) Put(m *Message) error {
 		m.Enqueued = s.clk.Now()
 	}
 	cp := *m
-	cp.Payload = append([]byte(nil), m.Payload...)
 	s.encOp, s.encMsg = opPut, &cp
 	if err := s.appendStagedLocked(); err != nil {
 		return err
@@ -443,7 +327,8 @@ func liveSize(m *Message) int64 {
 	return int64(32 + len(m.ID) + len(m.Destination) + len(m.Payload))
 }
 
-// Get returns a copy of the message with the given ID.
+// Get returns a copy of the message with the given ID, payload
+// included: the caller may modify it.
 func (s *Store) Get(id string) (*Message, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -509,22 +394,30 @@ func (s *Store) MarkAttempt(id string) error {
 	return nil
 }
 
-// PendingFor returns copies of live (non-expired) messages queued for
-// destination, in insertion order, up to max (0 = all).
+// PendingFor returns live (non-expired) messages queued for destination,
+// in insertion order, up to max (0 = all). Each is a copy of the stored
+// message whose Payload shares the stored bytes: read-only.
 func (s *Store) PendingFor(destination string, max int) []*Message {
 	now := s.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*Message
-	for _, id := range s.byDest[destination] {
+	ids := s.byDest[destination]
+	n := len(ids)
+	if max > 0 && max < n {
+		n = max
+	}
+	// One array backs every returned struct; it never grows past n, so
+	// the pointers into it stay valid.
+	msgs := make([]Message, 0, n)
+	out := make([]*Message, 0, n)
+	for _, id := range ids {
 		m := s.byID[id]
 		if m == nil || m.Expired(now) {
 			continue
 		}
-		cp := *m
-		cp.Payload = append([]byte(nil), m.Payload...)
-		out = append(out, &cp)
-		if max > 0 && len(out) >= max {
+		msgs = append(msgs, *m)
+		out = append(out, &msgs[len(msgs)-1])
+		if len(out) == n {
 			break
 		}
 	}

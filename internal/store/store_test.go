@@ -150,12 +150,24 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestPendingForSharesPayload pins the ownership rule: Put keeps the
+// caller's slice and PendingFor hands the same bytes back, uncopied.
+func TestPendingForSharesPayload(t *testing.T) {
+	s := New(clock.Wall)
+	m := msg("m", "d", "parked")
+	s.Put(m)
+	got := s.PendingFor("d", 0)
+	if len(got) != 1 || &got[0].Payload[0] != &m.Payload[0] {
+		t.Fatal("PendingFor returned a copy of the stored payload")
+	}
+}
+
 func TestFilePersistenceReplay(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(1000, 0))
 	defer clk.Stop()
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	dir := filepath.Join(t.TempDir(), "wal")
 
-	s, err := OpenFile(clk, path)
+	s, err := Open(clk, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +177,7 @@ func TestFilePersistenceReplay(t *testing.T) {
 	s.Delete("m1")
 	s.Close()
 
-	s2, err := OpenFile(clk, path)
+	s2, err := Open(clk, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +194,6 @@ func TestFilePersistenceReplay(t *testing.T) {
 	}
 	if string(m2.Payload) != "second" || m2.Attempts != 1 {
 		t.Fatalf("m2 = %+v", m2)
-	}
-}
-
-func TestOpenFileBadPath(t *testing.T) {
-	if _, err := OpenFile(clock.Wall, filepath.Join(t.TempDir(), "no", "such", "dir", "f")); err == nil {
-		t.Fatal("OpenFile on missing directory succeeded")
 	}
 }
 

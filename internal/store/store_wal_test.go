@@ -1,169 +1,16 @@
 package store
 
 import (
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/wal"
 )
-
-// legacyLog builds a JSON-lines log in the pre-WAL format.
-func legacyLog(lines ...string) []byte {
-	return []byte(strings.Join(lines, "\n") + "\n")
-}
-
-func legacyPut(id, dest, payload string) string {
-	return fmt.Sprintf(`{"op":"put","msg":{"id":%q,"dest":%q,"payload":%q,"enqueued":"2026-01-02T15:04:05Z","expires":"0001-01-01T00:00:00Z","attempts":0}}`,
-		id, dest, base64.StdEncoding.EncodeToString([]byte(payload)))
-}
-
-func TestLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.jsonl")
-	log := legacyLog(
-		legacyPut("m1", "d1", "first"),
-		legacyPut("m2", "d2", "second"),
-		`{"op":"att","id":"m2"}`,
-		`{"op":"del","id":"m1"}`,
-	)
-	if err := os.WriteFile(path, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFile(clock.Wall, path)
-	if err != nil {
-		t.Fatalf("OpenFile (migration): %v", err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("migrated Len = %d, want 1", s.Len())
-	}
-	m2, err := s.Get("m2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(m2.Payload) != "second" || m2.Attempts != 1 {
-		t.Fatalf("m2 = %+v", m2)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy JSON log still present after migration")
-	}
-	if s.WAL() == nil {
-		t.Fatal("migrated store has no WAL")
-	}
-	s.Close()
-	// The state now lives in the WAL alone.
-	s2, err := OpenFile(clock.Wall, path)
-	if err != nil {
-		t.Fatalf("reopen after migration: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("post-migration Len = %d, want 1", s2.Len())
-	}
-	if m, err := s2.Get("m2"); err != nil || string(m.Payload) != "second" || m.Attempts != 1 {
-		t.Fatalf("m2 after reopen = %+v (%v)", m, err)
-	}
-}
-
-// TestLegacyTornTailEveryByteOffset pins the satellite fix: a legacy
-// log chopped at ANY byte offset of its final record must open — the
-// torn line is dropped, every whole line before it is applied — instead
-// of hard-failing the way replay used to.
-func TestLegacyTornTailEveryByteOffset(t *testing.T) {
-	whole := []string{
-		legacyPut("m1", "d", "first"),
-		legacyPut("m2", "d", "second"),
-		`{"op":"del","id":"m1"}`,
-	}
-	lastLine := legacyPut("m3", "d", "the-final-record-torn-by-the-crash")
-	prefix := strings.Join(whole, "\n") + "\n"
-	for cut := 0; cut <= len(lastLine); cut++ {
-		path := filepath.Join(t.TempDir(), "store.jsonl")
-		if err := os.WriteFile(path, []byte(prefix+lastLine[:cut]), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenFile(clock.Wall, path)
-		if err != nil {
-			t.Fatalf("cut=%d: OpenFile: %v", cut, err)
-		}
-		wantLen := 1 // m2 (m1 deleted)
-		if cut == len(lastLine) {
-			wantLen = 2 // the "torn" line is actually whole
-		}
-		if s.Len() != wantLen {
-			t.Fatalf("cut=%d: Len = %d, want %d", cut, s.Len(), wantLen)
-		}
-		if _, err := s.Get("m2"); err != nil {
-			t.Fatalf("cut=%d: m2 lost: %v", cut, err)
-		}
-		if _, err := s.Get("m1"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("cut=%d: deleted m1 resurrected", cut)
-		}
-		s.Close()
-	}
-}
-
-// TestLegacyCorruptMiddleLineFatal: damage that is NOT the final line
-// is real corruption — silently skipping it could resurrect a deleted
-// message, so OpenFile must refuse.
-func TestLegacyCorruptMiddleLineFatal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	log := legacyLog(
-		legacyPut("m1", "d", "x"),
-		`{"op":"del","id":`, // torn mid-log, followed by more content
-		legacyPut("m2", "d", "y"),
-	)
-	if err := os.WriteFile(path, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFile(clock.Wall, path); err == nil {
-		t.Fatal("OpenFile accepted a corrupt middle line")
-	}
-}
-
-// TestMigrationRedoneAfterCrash: a crash mid-migration leaves both the
-// JSON log and a partially-written WAL; the next OpenFile must discard
-// the partial WAL state and migrate the JSON from scratch.
-func TestMigrationRedoneAfterCrash(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.jsonl")
-	// The interrupted first migration got m1 and a bogus marker into the
-	// WAL before dying.
-	s0, err := Open(clock.Wall, path+".wal", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0.Put(&Message{ID: "m1", Destination: "d", Payload: []byte("stale")})
-	s0.Put(&Message{ID: "leftover", Destination: "d", Payload: []byte("junk")})
-	s0.Close()
-	// The JSON log — still present, still the source of truth.
-	if err := os.WriteFile(path, legacyLog(
-		legacyPut("m1", "d", "fresh"),
-		legacyPut("m2", "d", "second"),
-	), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFile(clock.Wall, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (WAL leftovers discarded)", s.Len())
-	}
-	if _, err := s.Get("leftover"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("partial-migration leftover survived the redo")
-	}
-	if m, _ := s.Get("m1"); m == nil || string(m.Payload) != "fresh" {
-		t.Fatalf("m1 = %+v, want the JSON version", m)
-	}
-}
 
 // TestWALErrorsSurface pins the satellite fix: with the log unable to
 // accept records, Put/Delete/MarkAttempt report the failure and leave

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The fault-injection writer behind the openSegFile hook: a shared
@@ -204,5 +206,101 @@ func TestFaultRotationOpenFails(t *testing.T) {
 	}
 	if err := l2.Append(encStr("onwards")); err != nil {
 		t.Fatalf("append after recovery: %v", err)
+	}
+}
+
+// syncGate holds segment fsyncs while armed: each gated Sync announces
+// itself on entered, then waits for release and returns what it sends.
+type syncGate struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan error
+}
+
+type gatedFile struct {
+	segFile
+	g *syncGate
+}
+
+func (gf *gatedFile) Sync() error {
+	if gf.g.armed.Load() {
+		gf.g.entered <- struct{}{}
+		if err := <-gf.g.release; err != nil {
+			return err
+		}
+	}
+	return gf.segFile.Sync()
+}
+
+// installGate swaps the segment-file hook for one whose fsyncs g holds.
+func installGate(t *testing.T, g *syncGate) {
+	t.Helper()
+	orig := openSegFile
+	openSegFile = func(path string, flag int) (segFile, error) {
+		f, err := orig(path, flag)
+		if err != nil {
+			return nil, err
+		}
+		return &gatedFile{segFile: f, g: g}, nil
+	}
+	t.Cleanup(func() { openSegFile = orig })
+}
+
+// TestWindowSyncOffLock: the group-commit fsync runs without the log
+// mutex, so an append issued while the disk is flushing returns at once
+// instead of queueing behind the fsync — and a window fsync that fails
+// still poisons the log.
+func TestWindowSyncOffLock(t *testing.T) {
+	g := &syncGate{entered: make(chan struct{}), release: make(chan error)}
+	installGate(t, g)
+	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{Sync: SyncInterval, SyncEvery: time.Millisecond})
+	defer l.Close()
+	awaitEntered := func() {
+		t.Helper()
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the group-commit window never fsynced")
+		}
+	}
+
+	g.armed.Store(true)
+	if err := l.Append(encStr("first")); err != nil {
+		t.Fatal(err)
+	}
+	awaitEntered() // the window's fsync is now blocked on the disk
+	done := make(chan error, 1)
+	go func() { done <- l.Append(encStr("second")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("append during fsync: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		g.armed.Store(false)
+		g.release <- nil
+		t.Fatal("append waited behind the group-commit fsync")
+	}
+	g.armed.Store(false)
+	g.release <- nil
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync after the window: %v", err)
+	}
+	if l.Syncs.Value() < 2 {
+		t.Fatalf("Syncs = %d, want the window's and Sync's", l.Syncs.Value())
+	}
+
+	g.armed.Store(true)
+	if err := l.Append(encStr("third")); err != nil {
+		t.Fatal(err)
+	}
+	awaitEntered()
+	g.armed.Store(false)
+	g.release <- errInjected
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync after a failed window fsync: %v, want the injected fault", err)
+	}
+	if err := l.Append(encStr("after")); !errors.Is(err, errInjected) {
+		t.Fatalf("append after a failed window fsync: %v, want the log poisoned", err)
 	}
 }

@@ -1,67 +1,3 @@
-// Package wal is the durability layer under the message store: a
-// segmented, append-only write-ahead log with per-record CRC32C
-// checksums and crash recovery. It implements the storage half of the
-// paper's future-work item — "hold/retry on delivery ... with messages
-// stored in DB with expiration time" — as an embedded log instead of the
-// MySQL the authors planned, so a dispatcher restart (or kill -9) loses
-// nothing that was synced and corrupts nothing that was not.
-//
-// # On-disk format
-//
-// A log is a directory of segment files named <seq>.wal (twelve decimal
-// digits, strictly increasing). Each segment starts with a 16-byte
-// header — 8-byte magic "WSDWAL01", the segment's sequence number
-// (uint32 LE), and a flags byte whose low bit marks a snapshot base —
-// followed by length-prefixed records:
-//
-//	uint32 LE  payload length
-//	uint32 LE  CRC32C (Castagnoli) of the payload
-//	payload bytes
-//
-// Records are opaque to the log; the store encodes its own operations
-// into them. The active segment rotates once it passes
-// Config.SegmentSize; completed segments are fsynced when sealed.
-//
-// # Recovery guarantees
-//
-// Open replays segments in sequence order, starting at the newest
-// segment whose header carries the snapshot-base flag (older segments
-// are retired state superseded by that snapshot and are deleted). A
-// record is applied only if its length is plausible and its checksum
-// matches. Corruption at the tail of the FINAL segment — the only place
-// a crash mid-append can tear — is recovered, not fatal: the segment is
-// truncated back to the last whole record and appending resumes there.
-// An unreadable header on the final segment (a crash between file
-// creation and the header write) drops that segment the same way.
-// Corruption anywhere earlier is real damage the log cannot silently
-// repair, and Open fails with ErrCorrupt.
-//
-// Compaction (Compact) rewrites live state through a snapshot callback
-// into a fresh base segment, built under a temporary name, fsynced, and
-// atomically renamed before the retired segments are deleted — a crash
-// at any point leaves either the old segments or the complete snapshot,
-// never a half state.
-//
-// # Sync policy
-//
-// SyncAlways fsyncs before every Append returns: a successful Put is on
-// disk. SyncInterval (the default) is group commit — appends mark the
-// log dirty and one fsync per Config.SyncEvery window covers every
-// append in it, riding a clock.AfterFunc timer so Virtual-clock tests
-// exercise the policy deterministically. SyncNever leaves flushing to
-// the OS. In every mode the write itself reaches the kernel before
-// Append returns; the policy only chooses when it reaches the platter.
-//
-// # Allocation contract
-//
-// Append encodes through a pooled xmlsoap.GetBuffer scratch: the record
-// header and payload are assembled in the scratch and leave in one
-// write, so the payload bytes are copied exactly once at the WAL
-// boundary and the steady-state append path allocates nothing
-// (TestWALAppendSteadyStateAllocs gates it, like the codec paths).
-// Callers pass an encode func that APPENDS the payload to the slice it
-// is given and returns the extended slice; the bytes handed to replay
-// callbacks alias a read buffer and are valid only for the callback.
 package wal
 
 import (
@@ -189,7 +125,14 @@ type Log struct {
 	retired []segment // sealed segments, ascending seq, excluding active
 	err     error     // sticky: set on a failed write/sync, poisons the log
 	closed  bool
-	dirty   bool // bytes written since the last fsync
+	dirty   bool // bytes written since the last fsync began
+
+	// syncing marks a group-commit fsync running without mu held;
+	// syncDone (on mu) is broadcast when it ends. Anything that closes
+	// the active file or must not return before earlier appends are
+	// synced waits it out first (waitSyncLocked).
+	syncing  bool
+	syncDone *sync.Cond
 
 	syncTimer *clock.Timer
 	syncArmed bool
@@ -213,6 +156,7 @@ func Open(dir string, cfg Config, replay func(rec []byte) error) (*Log, error) {
 		return nil, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, cfg: cfg}
+	l.syncDone = sync.NewCond(&l.mu)
 	segs, err := l.scanDir()
 	if err != nil {
 		return nil, err
@@ -518,8 +462,14 @@ func (l *Log) commitLocked() error {
 	return nil
 }
 
-// syncLocked fsyncs the active segment if it has unsynced bytes.
+// syncLocked fsyncs the active segment if it has unsynced bytes. An
+// fsync already in flight is waited out first (it may fail and poison
+// the log, and it covers bytes dirty no longer shows).
 func (l *Log) syncLocked() error {
+	l.waitSyncLocked()
+	if l.err != nil {
+		return l.err
+	}
 	if !l.dirty {
 		return nil
 	}
@@ -546,20 +496,56 @@ func (l *Log) armSyncLocked() {
 	l.syncTimer.Reset(l.cfg.SyncEvery)
 }
 
-// syncWindow is the group-commit timer body.
+// syncWindow is the group-commit timer body. The fsync runs with mu
+// released, so appends keep writing (and re-mark the log dirty for the
+// next window) while the disk flushes; rotation, compaction, Sync and
+// Close wait for it through syncDone. A failed fsync still poisons the
+// log.
 func (l *Log) syncWindow() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.syncArmed = false
-	if l.closed || l.err != nil {
+	l.waitSyncLocked()
+	if l.closed || l.err != nil || !l.dirty {
 		return
 	}
-	l.syncLocked()
+	l.dirty = false
+	l.syncing = true
+	f, path := l.active.f, l.active.path
+	l.mu.Unlock()
+	err := f.Sync()
+	l.mu.Lock()
+	l.syncing = false
+	l.syncDone.Broadcast()
+	if err != nil {
+		if l.err == nil {
+			l.err = fmt.Errorf("wal: sync %s: %w", path, err)
+		}
+		return
+	}
+	l.Syncs.Inc()
+}
+
+// waitSyncLocked blocks until no fsync runs outside mu. It releases mu
+// while it waits, so callers re-check any state they read before.
+func (l *Log) waitSyncLocked() {
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the
 // next one.
 func (l *Log) rotateLocked() error {
+	l.waitSyncLocked()
+	switch {
+	case l.err != nil:
+		return l.err
+	case l.closed, l.active.size < l.cfg.SegmentSize:
+		// While this appender waited, Close synced and sealed the
+		// segment, or another appender rotated it.
+		return nil
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -640,6 +626,8 @@ func (w *Snapshot) Append(encode func(dst []byte) []byte) error {
 func (l *Log) Compact(snapshot func(w *Snapshot) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// The old active file is closed below; no fsync may still run on it.
+	l.waitSyncLocked()
 	if l.closed {
 		return ErrClosed
 	}
@@ -740,6 +728,7 @@ func (l *Log) Close() error {
 	if l.syncTimer != nil {
 		l.syncTimer.Stop()
 	}
+	l.waitSyncLocked()
 	var err error
 	if l.err == nil {
 		err = l.syncLocked()
