@@ -89,7 +89,6 @@ func main() {
 		Mailbox:       mboxCli,
 		Box:           box,
 		DispatcherURL: server.MsgURL(),
-		PollEvery:     5 * time.Second,
 	}
 
 	start := clk.Now()

@@ -176,7 +176,7 @@ type MailboxClient struct {
 	// ServiceURL is the WS-MsgBox management endpoint,
 	// e.g. "http://postoffice:9200/mbox".
 	ServiceURL string
-	// Clock paces polling; defaults to the wall clock.
+	// Clock times AwaitReply's budget; defaults to the wall clock.
 	Clock clock.Clock
 
 	mu       sync.Mutex
@@ -217,12 +217,30 @@ func (mc *MailboxClient) Create() (*Box, error) {
 	return box, nil
 }
 
-// Take downloads up to max messages (Figure 2 step 3).
+// DefaultTakeWait is how long Take asks the mailbox to hold a take that
+// finds the box empty (see Take in the msgbox package doc). It must stay
+// well under half of the HTTP client's request budget: the client may
+// keep a connection deadline with only half the budget left, and a take
+// still held when that deadline fires would be sent again on a fresh
+// connection, after the mailbox had already deleted the first take's
+// messages. The repository's clients use budgets of 10s and more.
+const DefaultTakeWait = time.Second
+
+// Take downloads up to max messages (Figure 2 step 3). On an empty
+// mailbox it long-polls: the mailbox holds the take for up to
+// DefaultTakeWait until a message is parked.
 func (mc *MailboxClient) Take(box *Box, max int) ([]*soap.Envelope, error) {
+	return mc.take(box, max, DefaultTakeWait)
+}
+
+// take downloads up to max messages, asking the mailbox to hold the take
+// for up to wait while the box is empty.
+func (mc *MailboxClient) take(box *Box, max int, wait time.Duration) ([]*soap.Envelope, error) {
 	results, err := mc.RPC.Call(mc.ServiceURL, msgbox.ServiceNS, msgbox.OpTake,
 		soap.Param{Name: "boxId", Value: box.ID},
 		soap.Param{Name: "token", Value: box.Token},
 		soap.Param{Name: "max", Value: strconv.Itoa(max)},
+		soap.Param{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)},
 	)
 	if err != nil {
 		return nil, err
@@ -271,10 +289,11 @@ func (mc *MailboxClient) Destroy(box *Box) error {
 // within the budget.
 var ErrAwaitTimeout = errors.New("client: timed out awaiting reply")
 
-// AwaitReply polls the mailbox until a message with RelatesTo == msgID
-// arrives. Non-matching messages are buffered for later AwaitReply calls
-// (interleaved conversations share one mailbox).
-func (mc *MailboxClient) AwaitReply(box *Box, msgID string, pollEvery, timeout time.Duration) (*soap.Envelope, error) {
+// AwaitReply long-polls the mailbox until a message with RelatesTo ==
+// msgID arrives, each take held for the rest of the budget, at most
+// DefaultTakeWait. Non-matching messages are buffered for later
+// AwaitReply calls (interleaved conversations share one mailbox).
+func (mc *MailboxClient) AwaitReply(box *Box, msgID string, timeout time.Duration) (*soap.Envelope, error) {
 	deadline := mc.Clock.Now().Add(timeout)
 	for {
 		mc.mu.Lock()
@@ -285,7 +304,8 @@ func (mc *MailboxClient) AwaitReply(box *Box, msgID string, pollEvery, timeout t
 		}
 		mc.mu.Unlock()
 
-		envs, err := mc.Take(box, 32)
+		wait := min(max(deadline.Sub(mc.Clock.Now()), 0), DefaultTakeWait)
+		envs, err := mc.take(box, 32, wait)
 		if err != nil {
 			return nil, err
 		}
@@ -306,17 +326,16 @@ func (mc *MailboxClient) AwaitReply(box *Box, msgID string, pollEvery, timeout t
 		if match != nil {
 			return match, nil
 		}
-		if !mc.Clock.Now().Add(pollEvery).Before(deadline) {
+		if !mc.Clock.Now().Before(deadline) {
 			return nil, ErrAwaitTimeout
 		}
-		mc.Clock.Sleep(pollEvery)
 	}
 }
 
 // Conversation composes a Messenger and a MailboxClient into the paper's
 // complete pattern for endpoint-less peers: send through the
-// MSG-Dispatcher with ReplyTo pointing at a mailbox, then poll the mailbox
-// for the correlated reply.
+// MSG-Dispatcher with ReplyTo pointing at a mailbox, then long-poll the
+// mailbox for the correlated reply.
 type Conversation struct {
 	// Messenger sends the outbound legs.
 	Messenger *Messenger
@@ -326,17 +345,11 @@ type Conversation struct {
 	Box *Box
 	// DispatcherURL is the MSG-Dispatcher message endpoint.
 	DispatcherURL string
-	// PollEvery is the mailbox polling interval. Default 250ms.
-	PollEvery time.Duration
 }
 
 // Call sends one message (To may be "logical:<name>") and awaits its
 // correlated reply via the mailbox.
 func (c *Conversation) Call(to, action string, body *xmlsoap.Element, timeout time.Duration) (*soap.Envelope, error) {
-	poll := c.PollEvery
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	h := &wsa.Headers{
 		To:      to,
 		Action:  action,
@@ -346,5 +359,5 @@ func (c *Conversation) Call(to, action string, body *xmlsoap.Element, timeout ti
 	if err != nil {
 		return nil, err
 	}
-	return c.Mailbox.AwaitReply(c.Box, msgID, poll, timeout)
+	return c.Mailbox.AwaitReply(c.Box, msgID, timeout)
 }

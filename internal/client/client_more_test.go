@@ -84,7 +84,6 @@ func TestDestroyedMailboxStopsDeliveries(t *testing.T) {
 		Mailbox:       r.mboxCli,
 		Box:           box,
 		DispatcherURL: dispatcherURL,
-		PollEvery:     200 * time.Millisecond,
 	}
 	_, err = conv.Call("logical:echo", "urn:echo",
 		xmlsoap.NewText(echoservice.EchoNS, "echo", "void"), 3*time.Second)

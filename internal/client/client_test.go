@@ -3,6 +3,8 @@ package client
 import (
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +25,7 @@ import (
 // its own firewall reachable only from the dispatcher.
 type rig struct {
 	clk     *clock.Virtual
+	cli     *netsim.Host
 	rpc     *RPC
 	msgr    *Messenger
 	mboxCli *MailboxClient
@@ -48,7 +51,7 @@ func newRig(t *testing.T) *rig {
 	ws := nw.AddHost("ws", netsim.ProfileLAN(), netsim.WithFirewall(netsim.OutboundOnlyExcept("wsd")))
 	cli := nw.AddHost("cli", netsim.ProfileLAN(), netsim.WithFirewall(netsim.OutboundOnly()), netsim.WithPrivateAddress())
 
-	r := &rig{clk: clk}
+	r := &rig{clk: clk, cli: cli}
 
 	// Echo services (RPC on 80, async on 81) behind the ws firewall.
 	r.echoRPC = echoservice.NewRPC(clk, 0)
@@ -151,7 +154,6 @@ func TestConversationThroughFirewall(t *testing.T) {
 		Mailbox:       r.mboxCli,
 		Box:           box,
 		DispatcherURL: dispatcherURL,
-		PollEvery:     200 * time.Millisecond,
 	}
 	reply, err := conv.Call(msgdisp.LogicalScheme+"echo", "urn:echo",
 		xmlsoap.NewText(echoservice.EchoNS, "echo", "through the wall"), 30*time.Second)
@@ -162,7 +164,13 @@ func TestConversationThroughFirewall(t *testing.T) {
 		t.Fatalf("reply body = %s", reply.BodyElement())
 	}
 	// The whole round trip worked although the client is private AND
-	// firewalled: nothing ever dialed in to it.
+	// firewalled: nothing ever dialed in to it. The dispatcher counts
+	// the delivery when it reads the mailbox's 202, which a held take
+	// can beat, so wait (on virtual time, bounded) for the count to land
+	// before pinning it at exactly one.
+	for end := r.clk.Now().Add(10 * time.Second); r.disp.RepliesDelivered.Value() < 1 && r.clk.Now().Before(end); {
+		r.clk.Sleep(time.Millisecond)
+	}
 	if r.disp.RepliesDelivered.Value() != 1 {
 		t.Fatalf("RepliesDelivered = %d", r.disp.RepliesDelivered.Value())
 	}
@@ -192,7 +200,7 @@ func TestInterleavedConversationsShareMailbox(t *testing.T) {
 	// Await replies in reverse order: non-matching replies must be
 	// buffered, not lost.
 	for i := n - 1; i >= 0; i-- {
-		reply, err := r.mboxCli.AwaitReply(box, ids[i], 100*time.Millisecond, 30*time.Second)
+		reply, err := r.mboxCli.AwaitReply(box, ids[i], 30*time.Second)
 		if err != nil {
 			t.Fatalf("conv %d: %v", i, err)
 		}
@@ -205,7 +213,7 @@ func TestInterleavedConversationsShareMailbox(t *testing.T) {
 func TestAwaitReplyTimesOut(t *testing.T) {
 	r := newRig(t)
 	box, _ := r.mboxCli.Create()
-	_, err := r.mboxCli.AwaitReply(box, "urn:uuid:nothing", 100*time.Millisecond, time.Second)
+	_, err := r.mboxCli.AwaitReply(box, "urn:uuid:nothing", time.Second)
 	if !errors.Is(err, ErrAwaitTimeout) {
 		t.Fatalf("err = %v, want ErrAwaitTimeout", err)
 	}
@@ -232,5 +240,56 @@ func TestMessengerFillsMessageID(t *testing.T) {
 	}
 	if h.MessageID != "" {
 		t.Fatal("Send mutated the caller's headers")
+	}
+}
+
+// countingDialer counts the connections a client opens.
+type countingDialer struct {
+	httpx.Dialer
+	dials atomic.Int64
+}
+
+func (d *countingDialer) DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
+	d.dials.Add(1)
+	return d.Dialer.DialTimeout(addr, timeout)
+}
+
+// TestLongPollHeldTakeKeepsConnection holds a take for the full
+// DefaultTakeWait at the worst point of the connection's deadline: the
+// client keeps an armed deadline while at least half the request budget
+// is left on it, so a take sent just after that point has only half the
+// budget. The take must still get its clean empty answer on the same
+// connection. Had the deadline fired first, the client would have sent
+// the take again on a fresh connection, and the first take's messages,
+// already deleted from the mailbox, would be lost.
+func TestLongPollHeldTakeKeepsConnection(t *testing.T) {
+	for _, budget := range []time.Duration{httpx.DefaultRequestTimeout, 10 * time.Second} {
+		t.Run(budget.String(), func(t *testing.T) {
+			r := newRig(t)
+			d := &countingDialer{Dialer: r.cli}
+			hc := httpx.NewClient(d, httpx.ClientConfig{Clock: r.clk, RequestTimeout: budget})
+			t.Cleanup(hc.Close)
+			mc := NewMailboxClient(NewRPC(hc), mboxURL, r.clk)
+			box, err := mc.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Create armed the connection's deadline a full budget ahead.
+			r.clk.Sleep(budget/2 - 100*time.Millisecond)
+			t0 := r.clk.Now()
+			envs, err := mc.Take(box, 16)
+			if err != nil {
+				t.Fatalf("held take failed: %v", err)
+			}
+			if len(envs) != 0 {
+				t.Fatalf("take on an empty box = %d messages", len(envs))
+			}
+			if took := r.clk.Since(t0); took < DefaultTakeWait {
+				t.Fatalf("take answered after %v, want the full %v wait", took, DefaultTakeWait)
+			}
+			if n := d.dials.Load(); n != 1 {
+				t.Fatalf("client dialed %d connections, want 1", n)
+			}
+		})
 	}
 }

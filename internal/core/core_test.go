@@ -152,7 +152,6 @@ func TestFullConversationThroughComposedServer(t *testing.T) {
 		Mailbox:       mboxCli,
 		Box:           box,
 		DispatcherURL: r.server.MsgURL(),
-		PollEvery:     200 * time.Millisecond,
 	}
 	reply, err := conv.Call(msgdisp.LogicalScheme+"echo-msg", "urn:echo",
 		xmlsoap.NewText(echoservice.EchoNS, "echo", "all-in-one"), 30*time.Second)

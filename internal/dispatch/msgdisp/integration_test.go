@@ -96,7 +96,6 @@ func TestFirewalledPeerMailboxConversation(t *testing.T) {
 		Mailbox:       mboxCli,
 		Box:           box,
 		DispatcherURL: "http://wsd:9100/msg",
-		PollEvery:     100 * time.Millisecond,
 	}
 
 	// A multi-message conversation: each call round-trips peer →

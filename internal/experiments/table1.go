@@ -213,7 +213,6 @@ func runMailboxConversation(tb *testbed, httpCli *httpx.Client, rpcCli *client.R
 		Mailbox:       mboxCli,
 		Box:           box,
 		DispatcherURL: "http://wsd:9100/msg",
-		PollEvery:     2 * time.Second,
 	}
 	reply, err := conv.Call(to, echoservice.EchoNS+":echo", body, 3*time.Minute)
 	if err != nil {

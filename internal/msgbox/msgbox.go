@@ -37,6 +37,33 @@
 // same slice is handed to store.Put, so the mailbox and the store share
 // it. Start parks the slices store.PendingFor returns without copying
 // them. Nothing parked holds a pooled buffer.
+//
+// # Take
+//
+// takeMessages (Figure 2 step 3) returns up to max parked messages
+// (default 16) in arrival order. Its optional wait parameter, in
+// milliseconds, makes it a long-poll: a take that finds the box empty
+// holds until the first message is parked there, the wait expires, or
+// Destroy or Stop releases the box, and then returns what the box holds
+// (count=0 if nothing). The server clamps the wait to MaxTakeWait: a
+// held take ties up a connection and its NAT mapping, and carrier-grade
+// NATs expire idle mappings. Without the parameter (or with 0) a take
+// returns at once, byte for byte as before the parameter existed.
+//
+// A park wakes every take waiting on its box; concurrent takers get
+// disjoint messages, and a woken take that finds the box emptied by
+// another waits out the rest of its time. The wait is a timer on
+// Config.Clock, so held takes follow a Virtual clock; no goroutine is
+// started per waiting take, and a park into a box nobody waits on pays
+// one atomic load.
+//
+// A taken message's durable record is deleted as the take collects it,
+// before the response is written, so the response is the message's only
+// remaining copy: a response lost on the way (a dropped connection, a
+// client deadline that fires while the take is held) loses its
+// messages. A client's wait must therefore end well inside its request
+// budget. A delete that cannot be logged lets the message reappear
+// after a crash: across crashes, taken records are at-least-once.
 package msgbox
 
 import (
@@ -45,6 +72,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -79,6 +107,10 @@ const (
 	OpPeek    = "peekCount"
 	OpDestroy = "destroyMsgBox"
 )
+
+// MaxTakeWait caps the wait a takeMessages call may ask for (see Take
+// in the package doc).
+const MaxTakeWait = 10 * time.Second
 
 // Mode selects the delivery-processing design.
 type Mode int
@@ -158,6 +190,33 @@ type Mailbox struct {
 
 	// msgs holds the parked messages in arrival order.
 	msgs *queue.FIFO[boxMsg]
+	// wake holds, while a take waits on the empty box, the channel the
+	// next park (or release) closes; nil while nobody waits.
+	wake atomic.Pointer[chan struct{}]
+}
+
+// waitCh registers a waiting take and returns the channel the next park
+// or release closes.
+func (mb *Mailbox) waitCh() <-chan struct{} {
+	for {
+		if p := mb.wake.Load(); p != nil {
+			return *p
+		}
+		ch := make(chan struct{})
+		if mb.wake.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// wakeTakers wakes every take waiting on mb.
+func (mb *Mailbox) wakeTakers() {
+	if mb.wake.Load() == nil {
+		return
+	}
+	if p := mb.wake.Swap(nil); p != nil {
+		close(*p)
+	}
 }
 
 // boxMsg is one parked message: its read-only payload (shared with the
@@ -248,12 +307,14 @@ func (s *Service) Stop() {
 	})
 }
 
-// releaseBox closes a mailbox and drops its undelivered messages.
-// Durable records are NOT touched here: Stop keeps them for the next
-// Start, and rpcDestroy deletes them itself after the queue is closed.
+// releaseBox closes a mailbox, drops its undelivered messages and
+// releases the takes waiting on it. Durable records are NOT touched
+// here: Stop keeps them for the next Start, and destroy deletes them
+// itself after the queue is closed.
 func releaseBox(mb *Mailbox) {
 	mb.msgs.Close()
 	mb.msgs.Drain()
+	mb.wakeTakers()
 }
 
 // Boxes returns the number of live mailboxes.
@@ -367,6 +428,7 @@ func (s *Service) storeMessage(mb *Mailbox, payload []byte) {
 		s.StoreFailures.Inc()
 		return
 	}
+	mb.wakeTakers()
 	s.Stored.Inc()
 }
 
@@ -460,25 +522,73 @@ func (s *Service) rpcTake(ex *httpx.Exchange, v soap.Version, call *soap.Call) {
 			max = n
 		}
 	}
-	params := []soap.Param{{Name: "count", Value: ""}}
-	n := 0
-	for n < max {
+	taken := s.take(mb, max, takeWait(call))
+	params := make([]soap.Param, 1, 1+len(taken))
+	params[0] = soap.Param{Name: "count", Value: strconv.Itoa(len(taken))}
+	for i, m := range taken {
+		params = append(params, soap.Param{Name: fmt.Sprintf("msg%d", i+1), Value: string(m.payload)})
+	}
+	rpcOK(ex, v, OpTake, params...)
+}
+
+// takeWait reads a take's optional wait parameter, in milliseconds,
+// clamped to MaxTakeWait. A missing, malformed or non-positive wait is
+// no wait.
+func takeWait(call *soap.Call) time.Duration {
+	ms, ok := call.Param("wait")
+	if !ok {
+		return 0
+	}
+	// Malformed reads as 0; out of range as ±MaxInt64.
+	n, _ := strconv.ParseInt(ms, 10, 64)
+	if n <= 0 {
+		return 0
+	}
+	return time.Duration(min(n, MaxTakeWait.Milliseconds())) * time.Millisecond
+}
+
+// take removes up to max parked messages from mb in arrival order. A
+// take that finds the box empty waits up to wait for the first park, or
+// for Destroy or Stop to release the box.
+func (s *Service) take(mb *Mailbox, max int, wait time.Duration) []boxMsg {
+	taken := s.takeParked(mb, max)
+	if len(taken) > 0 || wait <= 0 {
+		return taken
+	}
+	t := s.cfg.Clock.NewTimer(wait)
+	defer t.Stop()
+	for {
+		woken := mb.waitCh()
+		// Look again once registered: a park that landed after the
+		// look above closed no channel this take holds.
+		if taken = s.takeParked(mb, max); len(taken) > 0 || mb.msgs.Closed() {
+			return taken
+		}
+		select {
+		case <-woken:
+		case <-t.C:
+			return nil
+		}
+	}
+}
+
+// takeParked removes up to max parked messages without waiting.
+func (s *Service) takeParked(mb *Mailbox, max int) []boxMsg {
+	var taken []boxMsg
+	for len(taken) < max {
 		m, ok := mb.msgs.TryTake()
 		if !ok {
 			break
 		}
-		n++
-		params = append(params, soap.Param{Name: fmt.Sprintf("msg%d", n), Value: string(m.payload)})
+		taken = append(taken, m)
 		if m.sid != "" {
-			// Taken: the durable record is spent. (If the delete cannot
-			// be logged the message may reappear after a crash — at-
-			// least-once, never lost.)
+			// Taken: the durable record is spent (see Take in the
+			// package doc for what that costs if the response is lost).
 			s.cfg.Store.Delete(m.sid)
 		}
 	}
-	params[0].Value = strconv.Itoa(n)
-	s.Taken.Add(int64(n))
-	rpcOK(ex, v, OpTake, params...)
+	s.Taken.Add(int64(len(taken)))
+	return taken
 }
 
 func (s *Service) rpcPeek(ex *httpx.Exchange, v soap.Version, call *soap.Call) {
@@ -494,6 +604,13 @@ func (s *Service) rpcDestroy(ex *httpx.Exchange, v soap.Version, call *soap.Call
 	if mb == nil {
 		return
 	}
+	s.destroy(mb)
+	rpcOK(ex, v, OpDestroy, soap.Param{Name: "destroyed", Value: "true"})
+}
+
+// destroy removes mb, releases the takes waiting on it and deletes its
+// durable records.
+func (s *Service) destroy(mb *Mailbox) {
 	s.boxes.Delete(mb.ID)
 	releaseBox(mb)
 	if st := s.cfg.Store; st != nil {
@@ -506,7 +623,6 @@ func (s *Service) rpcDestroy(ex *httpx.Exchange, v soap.Version, call *soap.Call
 		}
 	}
 	s.Destroyed.Inc()
-	rpcOK(ex, v, OpDestroy, soap.Param{Name: "destroyed", Value: "true"})
 }
 
 func rpcOK(ex *httpx.Exchange, v soap.Version, op string, params ...soap.Param) {

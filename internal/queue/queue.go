@@ -81,11 +81,10 @@ func (q *FIFO[T]) TryPut(item T) error {
 }
 
 // TryPutBatch appends a burst of items in one lock transaction, without
-// blocking: the admission-side counterpart of TakeBatch. It admits the
-// longest FIFO prefix that fits — n reports how many were taken — and
-// returns ErrFull when items remain (the caller owns the tail, exactly
-// as with a refused TryPut) or ErrClosed when the queue is closed (n is
-// then 0 and nothing was taken).
+// blocking. It admits the longest FIFO prefix that fits — n reports how
+// many were taken — and returns ErrFull when items remain (the caller
+// owns the tail, exactly as with a refused TryPut) or ErrClosed when the
+// queue is closed (n is then 0 and nothing was taken).
 func (q *FIFO[T]) TryPutBatch(items []T) (n int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -138,33 +137,6 @@ func (q *FIFO[T]) TryTake() (item T, ok bool) {
 		return zero, false
 	}
 	return q.popLocked(), true
-}
-
-// TakeBatch removes up to max items in FIFO order, blocking until at least
-// one item is available (or the queue is closed and drained). The
-// MSG-Dispatcher uses it to deliver "multiple messages ... to a destination
-// over one connection".
-func (q *FIFO[T]) TakeBatch(max int) ([]T, error) {
-	if max < 1 {
-		max = 1
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.lenLocked() == 0 {
-		if q.closed {
-			return nil, ErrClosed
-		}
-		q.notEmpty.Wait()
-	}
-	n := q.lenLocked()
-	if n > max {
-		n = max
-	}
-	batch := make([]T, 0, n)
-	for i := 0; i < n; i++ {
-		batch = append(batch, q.popLocked())
-	}
-	return batch, nil
 }
 
 // Drain removes and returns everything currently queued without blocking.

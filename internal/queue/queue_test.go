@@ -140,41 +140,6 @@ func TestCloseUnblocksTakers(t *testing.T) {
 	}
 }
 
-func TestTakeBatch(t *testing.T) {
-	q := New[int](0)
-	for i := 0; i < 10; i++ {
-		q.Put(i)
-	}
-	batch, err := q.TakeBatch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 4 {
-		t.Fatalf("batch len = %d, want 4", len(batch))
-	}
-	for i, v := range batch {
-		if v != i {
-			t.Fatalf("batch[%d] = %d", i, v)
-		}
-	}
-	rest, err := q.TakeBatch(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 6 || rest[0] != 4 {
-		t.Fatalf("rest = %v", rest)
-	}
-}
-
-func TestTakeBatchMinimumOne(t *testing.T) {
-	q := New[int](0)
-	q.Put(9)
-	batch, err := q.TakeBatch(0)
-	if err != nil || len(batch) != 1 || batch[0] != 9 {
-		t.Fatalf("TakeBatch(0) = %v, %v", batch, err)
-	}
-}
-
 func TestDrain(t *testing.T) {
 	q := New[int](0)
 	for i := 0; i < 5; i++ {
