@@ -10,7 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,69 +69,103 @@ func (g *Gauge) Peak() int64 {
 	return g.peak
 }
 
-// Histogram records durations and reports quantiles. It stores raw samples;
-// the experiment scale (≤ a few hundred thousand samples) makes exact
-// quantiles affordable and keeps the implementation obviously correct.
+// Histogram records durations in fixed log-linear buckets: exact below
+// 128 ns, then 64 buckets per power of two. Its memory is constant (about
+// 30 KB) whatever the number of observations, and Observe takes no lock.
+// Count, Mean, Min and Max are exact; Quantile is within 1/128 of the
+// exact nearest-rank quantile.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sum     time.Duration
+	buckets [histBuckets]atomic.Uint64
+	count   atomic.Uint64
+	sum     atomic.Int64  // nanoseconds
+	max     atomic.Int64  // nanoseconds
+	minNot  atomic.Uint64 // ^min in nanoseconds, so the zero value means "none yet"
 }
 
-// Observe records one sample.
+const (
+	histSubBits = 6
+	histSub     = 1 << histSubBits
+	// The largest duration, 1<<63 - 1, shifts right by 63-histSubBits-1
+	// and lands in the last bucket.
+	histBuckets = (64 - histSubBits) * histSub
+)
+
+// histBucket returns the bucket of a non-negative value: the value itself
+// below 2*histSub, else its top histSubBits+1 bits placed after the
+// buckets of the smaller powers of two.
+func histBucket(v uint64) int {
+	e := max(bits.Len64(v)-histSubBits-1, 0)
+	return e*histSub + int(v>>e)
+}
+
+// histMid returns the middle of bucket b's value range.
+func histMid(b int) int64 {
+	if b < 2*histSub {
+		return int64(b)
+	}
+	e := b/histSub - 1
+	return int64(b-e*histSub)<<e + 1<<(e-1)
+}
+
+// Observe records one sample; a negative one counts as zero.
 func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	h.samples = append(h.samples, d)
-	h.sum += d
-	h.mu.Unlock()
+	v := max(int64(d), 0)
+	h.buckets[histBucket(uint64(v))].Add(1)
+	h.sum.Add(v)
+	for cur := h.max.Load(); v > cur && !h.max.CompareAndSwap(cur, v); cur = h.max.Load() {
+	}
+	for cur := h.minNot.Load(); ^uint64(v) > cur && !h.minNot.CompareAndSwap(cur, ^uint64(v)); cur = h.minNot.Load() {
+	}
+	h.count.Add(1) // last, so a reader that sees the count sees the rest
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
+func (h *Histogram) Count() int { return int(h.count.Load()) }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(len(h.samples))
+	return time.Duration(h.sum.Load() / int64(n))
 }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest-rank, or 0
-// with no samples.
+// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest rank, within
+// 1/128 of the exact value, or 0 with no samples. Quantile(0) and
+// Quantile(1) are the exact Min and Max.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(h.samples))
-	copy(sorted, h.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	lo, hi := h.Min(), h.Max()
 	if q <= 0 {
-		return sorted[0]
+		return lo
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return hi
 	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	rank := max(uint64(math.Ceil(q*float64(n))), 1)
+	var seen uint64
+	for b := range h.buckets {
+		if seen += h.buckets[b].Load(); seen >= rank {
+			return min(max(time.Duration(histMid(b)), lo), hi)
+		}
 	}
-	return sorted[rank]
+	return hi
 }
 
 // Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() time.Duration { return h.Quantile(0) }
+func (h *Histogram) Min() time.Duration {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return time.Duration(^h.minNot.Load())
+}
 
 // Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() time.Duration { return h.Quantile(1) }
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // RunReport is the per-configuration record the paper's test client prints:
 // one row of a figure. Rates are normalized to a per-minute basis from the

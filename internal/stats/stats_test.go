@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,14 +66,85 @@ func TestHistogramMeanAndQuantiles(t *testing.T) {
 	if got := h.Mean(); got != 50*time.Millisecond+500*time.Microsecond {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := h.Quantile(0.5); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
+	if got := h.Quantile(0.5); !withinQuantileError(got, 50*time.Millisecond) {
+		t.Fatalf("p50 = %v, want 50ms ± 1/128", got)
 	}
-	if got := h.Quantile(0.99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
+	if got := h.Quantile(0.99); !withinQuantileError(got, 99*time.Millisecond) {
+		t.Fatalf("p99 = %v, want 99ms ± 1/128", got)
 	}
 	if h.Min() != time.Millisecond || h.Max() != 100*time.Millisecond {
 		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	}
+}
+
+// withinQuantileError reports whether got is within Quantile's stated
+// relative error of the exact quantile want.
+func withinQuantileError(got, want time.Duration) bool {
+	d := got - want
+	return d >= -want/128 && d <= want/128
+}
+
+// TestHistogramQuantileError pins Quantile against exact nearest-rank
+// quantiles of 100k log-uniform samples from 1 ns to 10 s, and checks
+// that Count, Mean, Min and Max are exact.
+func TestHistogramQuantileError(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var h Histogram
+	samples := make([]time.Duration, 100_000)
+	var sum time.Duration
+	for i := range samples {
+		d := time.Duration(math.Exp(rng.Float64() * math.Log(float64(10*time.Second))))
+		samples[i] = d
+		sum += d
+		h.Observe(d)
+	}
+	slices.Sort(samples)
+	for _, q := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
+		want := samples[int(math.Ceil(q*float64(len(samples))))-1]
+		if got := h.Quantile(q); !withinQuantileError(got, want) {
+			t.Errorf("Quantile(%v) = %v, exact %v: error above 1/128", q, got, want)
+		}
+	}
+	if h.Count() != len(samples) || h.Mean() != sum/time.Duration(len(samples)) ||
+		h.Min() != samples[0] || h.Max() != samples[len(samples)-1] {
+		t.Errorf("Count/Mean/Min/Max = %d/%v/%v/%v, want %d/%v/%v/%v", h.Count(), h.Mean(), h.Min(), h.Max(),
+			len(samples), sum/time.Duration(len(samples)), samples[0], samples[len(samples)-1])
+	}
+}
+
+// TestHistogramConstantMemory: Observe allocates nothing, so a histogram
+// that has seen a million samples takes the memory of an empty one.
+func TestHistogramConstantMemory(t *testing.T) {
+	var h Histogram
+	d := time.Duration(0)
+	if allocs := testing.AllocsPerRun(1_000_000, func() {
+		d += 997 * time.Nanosecond
+		h.Observe(d)
+	}); allocs != 0 {
+		t.Fatalf("Observe allocated %.2f times per sample, want 0", allocs)
+	}
+	if h.Count() != 1_000_001 {
+		t.Fatalf("Count = %d, want 1000001", h.Count())
+	}
+}
+
+// TestHistogramConcurrentObserve: observers on several goroutines lose no
+// sample and keep Min and Max exact.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	var h Histogram
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 1000; i++ {
+				h.Observe(time.Duration(g * i))
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != 4000 || h.Min() != 1 || h.Max() != 4000 {
+		t.Fatalf("Count/Min/Max = %d/%v/%v, want 4000/1ns/4µs", h.Count(), h.Min(), h.Max())
 	}
 }
 
@@ -145,5 +218,17 @@ func TestRunReportString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+func TestHistogramExtremes(t *testing.T) {
+	var h Histogram
+	h.Observe(-time.Second)
+	h.Observe(time.Duration(math.MaxInt64))
+	if h.Min() != 0 || h.Max() != time.Duration(math.MaxInt64) || h.Quantile(0.5) != 0 {
+		t.Fatalf("Min/Max/p50 = %v/%v/%v", h.Min(), h.Max(), h.Quantile(0.5))
+	}
+	if got := histBucket(math.MaxInt64); got != histBuckets-1 {
+		t.Fatalf("largest duration in bucket %d, want the last, %d", got, histBuckets-1)
 	}
 }

@@ -295,7 +295,7 @@ type skimBenchEnvelope struct {
 // skimBenchEnvelopes are the standard dispatcher envelope and two whose
 // body is 64 KiB of text — the top of the msg-reply workload's
 // log-uniform body-size range. The alphanumeric body is one long plain
-// run, the case the word-at-a-time scan is built for; the escaped body
+// run, the case xmlsoap.Skip's AVX2 kernel is built for; the escaped body
 // breaks the run every few bytes (one entity per 8 bytes plus tab and
 // newline runs), the case it does not favour.
 func skimBenchEnvelopes(t testing.TB) []skimBenchEnvelope {

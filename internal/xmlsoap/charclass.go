@@ -1,11 +1,15 @@
 package xmlsoap
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the codec's one answer to "which bytes are plain": a
 // [256] class table, the reading contexts defined as sets of classes,
-// and Skip, which passes over a run of plain bytes eight at a time. The
-// package doc states the contract.
+// and Skip, which passes over a run of plain bytes eight at a time, or
+// 32 at a time on long runs where the CPU has AVX2. The package doc
+// states the contract.
 
 // Byte classes. Every byte is in at most one; bytes in none of them
 // (printable ASCII other than the ones named here) are plain everywhere.
@@ -56,7 +60,7 @@ const (
 	// CanonValue is a WS-Addressing header value the skim splices
 	// as-is: printable ASCII other than space, &, < and >.
 	CanonValue
-	escapeText // AppendEscapedText: bytes it escapes, and UTF-8
+	escapeText // AppendEscapedText: bytes it escapes (&, <, >, \r), and UTF-8
 	escapeAttr // AppendEscapedAttr: the same, plus ", tab and newline
 	parseText  // tokenizer element content: markup, entities, the ]]> guard, \r, bad Chars
 	parseCDATA // tokenizer CDATA: the ]]> terminator, \r, bad Chars
@@ -72,8 +76,8 @@ var contextStops = [numContexts]uint16{
 	CanonText:  clsLT | clsAmp | clsGT | clsCR | clsCtl | clsDEL | clsHigh,
 	CanonAttr:  clsLT | clsAmp | clsGT | clsQuot | clsTabNL | clsCR | clsCtl | clsDEL | clsHigh,
 	CanonValue: clsLT | clsAmp | clsGT | clsSpace | clsTabNL | clsCR | clsCtl | clsDEL | clsHigh,
-	escapeText: clsLT | clsAmp | clsGT | clsHigh,
-	escapeAttr: clsLT | clsAmp | clsGT | clsQuot | clsTabNL | clsHigh,
+	escapeText: clsLT | clsAmp | clsGT | clsCR | clsHigh,
+	escapeAttr: clsLT | clsAmp | clsGT | clsQuot | clsTabNL | clsCR | clsHigh,
 	parseText:  clsLT | clsAmp | clsRBrack | clsCR | clsCtl | clsHigh,
 	parseCDATA: clsRBrack | clsCR | clsCtl | clsHigh,
 	parseAttr:  clsLT | clsAmp | clsQuot | clsApos | clsCR | clsCtl | clsHigh,
@@ -107,7 +111,7 @@ func init() {
 	for ctx, stops := range contextStops {
 		f := &wordFilters[ctx]
 		lo, hi := 0, 0x80
-		if stops&(clsCR|clsCtl) != 0 {
+		if stops&clsCtl != 0 { // every such context stops at \r too
 			lo = 0x20
 		}
 		if stops&clsSpace != 0 {
@@ -124,8 +128,8 @@ func init() {
 			f.addTN = lanes80
 		}
 		var single []byte
-		for _, c := range []byte{'<', '&', '>', '"', '\'', ']'} {
-			if charClass[c]&stops != 0 {
+		for _, c := range []byte{'<', '&', '>', '"', '\'', ']', '\r'} {
+			if charClass[c]&stops != 0 && int(c) >= lo {
 				single = append(single, c)
 			}
 		}
@@ -152,15 +156,65 @@ func init() {
 	}
 }
 
+// nibbleTable is a context's stop set as two 16-entry tables, for
+// skipBlocks: byte c stops iff lo[c&15] & hi[c>>4] != 0, where lo is
+// the first half and hi the second. Each bit is a bucket of high
+// nibbles whose rows of stopping low nibbles are equal, so the test is
+// exact as long as a context has at most eight distinct rows.
+type nibbleTable [32]byte
+
+var nibbleTables [numContexts]nibbleTable
+
+func init() {
+	for ctx, stops := range contextStops {
+		var rows [16]uint16 // rows[h] has bit l set when byte h<<4|l stops
+		for c := range 256 {
+			if charClass[c]&stops != 0 {
+				rows[c>>4] |= 1 << (c & 15)
+			}
+		}
+		t := &nibbleTables[ctx]
+		var buckets []uint16
+		for h, row := range rows {
+			if row == 0 {
+				continue
+			}
+			k := slices.Index(buckets, row)
+			if k < 0 {
+				if k = len(buckets); k == 8 {
+					panic("xmlsoap: context stop set does not fit the nibble tables")
+				}
+				buckets = append(buckets, row)
+				for l := range 16 {
+					if row>>l&1 != 0 {
+						t[l] |= 1 << k
+					}
+				}
+			}
+			t[16+h] |= 1 << k
+		}
+	}
+}
+
+// The kernel engages only after the word filter has passed wideAfter
+// plain bytes of a run and at least wideMin bytes remain, so runs
+// shorter than that (and text that stops every few bytes) never pay for
+// loading the tables.
+const (
+	wideAfter = 16
+	wideMin   = 64
+)
+
 // Skip returns the index of the first byte at or after i that stops
 // ctx, or len(b) if the rest of b is plain.
-func Skip(b []byte, i int, ctx Context) int { return skip(b, i, ctx) }
-
-// skip is Skip for either byte container.
-func skip[S ~string | ~[]byte](s S, i int, ctx Context) int {
+func Skip(b []byte, i int, ctx Context) int {
 	f := &wordFilters[ctx]
-	for ; i+8 <= len(s); i += 8 {
-		t := s[i : i+8]
+	wide := i + wideAfter
+	for ; i+8 <= len(b); i += 8 {
+		if i == wide && useAVX2 && len(b)-i >= wideMin {
+			return skipWide(b, i, ctx)
+		}
+		t := b[i : i+8]
 		w := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
 			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
 		low := w & lanes7f
@@ -182,10 +236,23 @@ func skip[S ~string | ~[]byte](s S, i int, ctx Context) int {
 		}
 	}
 	stops := contextStops[ctx]
-	for i < len(s) && charClass[s[i]]&stops == 0 {
+	for i < len(b) && charClass[b[i]]&stops == 0 {
 		i++
 	}
 	return i
+}
+
+// skipWide is Skip on a long run whose first wideAfter bytes were plain:
+// the kernel takes the whole 32-byte blocks, and Skip's word path the
+// shorter tail. It is a call of its own so that nothing in Skip's word
+// loop lives across the kernel call.
+func skipWide(b []byte, i int, ctx Context) int {
+	n := len(b) - i
+	j := skipBlocks(&b[i], n, &nibbleTables[ctx])
+	if j < n&^31 {
+		return i + j
+	}
+	return Skip(b, i+j, ctx)
 }
 
 // zeroLanes sets bit 7 of every lane of x that is zero, plus possibly

@@ -1,6 +1,7 @@
 package xmlsoap
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,10 +22,10 @@ var contextContracts = [numContexts]func(c byte) bool{
 		return !(c > 0x20 && c < 0x7f && c != '&' && c != '<' && c != '>')
 	},
 	escapeText: func(c byte) bool {
-		return c >= 0x80 || c == '&' || c == '<' || c == '>'
+		return c >= 0x80 || c == '&' || c == '<' || c == '>' || c == '\r'
 	},
 	escapeAttr: func(c byte) bool {
-		return c >= 0x80 || c == '&' || c == '<' || c == '>' || c == '"' || c == '\n' || c == '\t'
+		return c >= 0x80 || c == '&' || c == '<' || c == '>' || c == '"' || c == '\n' || c == '\t' || c == '\r'
 	},
 	parseText: func(c byte) bool {
 		return badChar(c) || c == '<' || c == '&' || c == ']' || c == '\r'
@@ -81,25 +82,123 @@ func TestCanonicalIsPlainForEveryReader(t *testing.T) {
 	}
 }
 
-// TestSkipWordBoundarySweep compares Skip with a byte-at-a-time scan of
-// the same stop sets, from each of the first two offsets of every sweep
-// run, in every context.
-func TestSkipWordBoundarySweep(t *testing.T) {
-	xmltest.WordBoundaryRuns(func(run []byte) {
+// TestNibbleTables pins the kernel's tables to the class table: for
+// every context and byte, the two lookups share a bucket exactly when
+// the byte stops. It runs on every architecture.
+func TestNibbleTables(t *testing.T) {
+	for ctx := Context(0); ctx < numContexts; ctx++ {
+		tab := &nibbleTables[ctx]
+		for c := 0; c < 256; c++ {
+			if got := tab[c&15]&tab[16+c>>4] != 0; got != stops(ctx, byte(c)) {
+				t.Errorf("context %d byte %#02x: nibble tables say stop = %v", ctx, c, got)
+			}
+		}
+	}
+}
+
+// contractStops is contextContracts evaluated once per byte value.
+var contractStops = func() (t [numContexts][256]bool) {
+	for ctx, stop := range contextContracts {
+		for c := range 256 {
+			t[ctx][c] = stop(byte(c))
+		}
+	}
+	return t
+}()
+
+// firstStop is the byte-at-a-time scan Skip must agree with.
+func firstStop(b []byte, from int, ctx Context) int {
+	for from < len(b) && !contractStops[ctx][b[from]] {
+		from++
+	}
+	return from
+}
+
+// skipPaths returns the values of useAVX2 to test: the word path, and
+// the kernel where the CPU has AVX2.
+func skipPaths() []bool {
+	if useAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// checkSweep compares Skip on every path with firstStop from each of the
+// first two offsets of every sweep run, in every context.
+func checkSweep(t *testing.T, sweep func(func(run []byte))) {
+	paths := skipPaths()
+	defer func() { useAVX2 = paths[len(paths)-1] }()
+	sweep(func(run []byte) {
 		for ctx := Context(0); ctx < numContexts; ctx++ {
+			want := firstStop(run, 0, ctx)
 			for from := 0; from < 2 && from <= len(run); from++ {
-				want := from
-				for want < len(run) && !contextContracts[ctx](run[want]) {
-					want++
+				if from > want {
+					want = firstStop(run, from, ctx)
 				}
-				for _, got := range [...]int{Skip(run, from, ctx), skip(string(run), from, ctx)} {
-					if got != want {
-						t.Fatalf("context %d, skip(%q, %d) = %d, want %d", ctx, run, from, got, want)
+				for _, useAVX2 = range paths {
+					if got := Skip(run, from, ctx); got != want {
+						t.Fatalf("avx2=%v context %d, Skip(%q, %d) = %d, want %d", useAVX2, ctx, run, from, got, want)
 					}
 				}
 			}
 		}
 	})
+}
+
+func TestSkipWordBoundarySweep(t *testing.T) { checkSweep(t, xmltest.WordBoundaryRuns) }
+
+func TestSkipBlockBoundarySweep(t *testing.T) { checkSweep(t, xmltest.BlockBoundaryRuns) }
+
+// FuzzSkip checks Skip against the byte-at-a-time scan for arbitrary
+// bytes and start offsets, in every context, on both paths.
+func FuzzSkip(f *testing.F) {
+	long := strings.Repeat("plain ascii run ", 12)
+	for _, s := range []string{"", "a<b", long, long + "&", long + "\xff" + long, long + long[:31] + "\r", "\t\n" + long + "]"} {
+		f.Add([]byte(s), uint8(0))
+		f.Add([]byte(s), uint8(3))
+	}
+	paths := skipPaths()
+	f.Fuzz(func(t *testing.T, b []byte, from uint8) {
+		defer func() { useAVX2 = paths[len(paths)-1] }()
+		i := min(int(from), len(b))
+		want := make([]int, numContexts)
+		for ctx := range want {
+			want[ctx] = firstStop(b, i, Context(ctx))
+		}
+		for _, useAVX2 = range paths {
+			for ctx := Context(0); ctx < numContexts; ctx++ {
+				if got := Skip(b, i, ctx); got != want[ctx] {
+					t.Fatalf("avx2=%v context %d, Skip(%q, %d) = %d, want %d", useAVX2, ctx, b, i, got, want[ctx])
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkSkip passes one plain run of n bytes ending in '<' in
+// element content, on each path: the rows around the engage point are
+// what wideAfter and wideMin are chosen from.
+func BenchmarkSkip(b *testing.B) {
+	paths := skipPaths()
+	defer func() { useAVX2 = paths[len(paths)-1] }()
+	for _, n := range []int{32, 64, 80, 96, 128, 256, 1024} {
+		run := []byte(strings.Repeat("a", n) + "<")
+		for _, wide := range paths {
+			name := "word"
+			if wide {
+				name = "avx2"
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
+				useAVX2 = wide
+				b.SetBytes(int64(n))
+				for b.Loop() {
+					if Skip(run, 0, parseText) != n {
+						b.Fatal("missed the stop")
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkAppendEscapedText: "standard" renders the text values of a

@@ -12,15 +12,15 @@ import (
 
 // parseCorpusSize pins the generated corpus: a drop means a generator
 // regression silently shrank parser coverage.
-const parseCorpusSize = 1293
+const parseCorpusSize = 1546
 
-// parseCorpus generates the golden parse suite: 1293 deterministic trees
+// parseCorpus generates the golden parse suite: 1546 deterministic trees
 // built from structural shapes crossed with text and attribute variants
-// (1152), a depth × content matrix (125), the parseable goldenCorpus
-// serializer cases (15), and the standard wire envelope (1). Every tree
+// (1404), a depth × content matrix (125), the parseable goldenCorpus
+// serializer cases (16), and the standard wire envelope (1). Every tree
 // is parse-faithful: its text survives the parser's whitespace-chunk
-// rule and carries no \r, so Parse(Marshal(x)) must reproduce it
-// exactly.
+// rule, and a \r travels as &#13;, so Parse(Marshal(x)) must reproduce
+// it exactly.
 func parseCorpus() map[string]*xmlsoap.Element {
 	const (
 		env  = "http://schemas.xmlsoap.org/soap/envelope/"
@@ -45,6 +45,7 @@ func parseCorpus() map[string]*xmlsoap.Element {
 		{"entity-ish", "&entity;-looking"},
 		{"multiline", "line1\nline2"},
 		{"emoji", "\U0001F642 emoji"},
+		{"carriage-return", "line1\r\nline2\rend"},
 	}
 	attrs := []struct {
 		name string
@@ -58,6 +59,7 @@ func parseCorpus() map[string]*xmlsoap.Element {
 		{"pair", func(e *xmlsoap.Element) { e.SetAttr("", "a", "1").SetAttr("", "b", "2") }},
 		{"soap", func(e *xmlsoap.Element) { e.SetAttr(env, "mustUnderstand", "1") }},
 		{"unicode", func(e *xmlsoap.Element) { e.SetAttr("", "u", "ünïcode") }},
+		{"carriage-return", func(e *xmlsoap.Element) { e.SetAttr("", "a", "x\ry\r\n") }},
 	}
 	// Each shape returns (root, carrier): the carrier node receives the
 	// text/attr variant under test.

@@ -50,8 +50,9 @@ func goldenCorpus() map[string]*xmlsoap.Element {
 			e := xmlsoap.NewText(foo, "e", "lead text")
 			return e.Add(xmlsoap.New(foo, "child"))
 		}(),
-		"escape-text": xmlsoap.NewText("", "e", `a&b<c>d"e'f`),
-		"escape-attr": xmlsoap.New("", "e").SetAttr("", "a", "x&y<z>\"q\"\nnl\ttab"),
+		"escape-text":     xmlsoap.NewText("", "e", `a&b<c>d"e'f`),
+		"escape-attr":     xmlsoap.New("", "e").SetAttr("", "a", "x&y<z>\"q\"\nnl\ttab"),
+		"carriage-return": xmlsoap.NewText("", "e", "a\r\nb\rc").SetAttr("", "cr", "p\rq\r\n"),
 		"control-chars": xmlsoap.NewText("", "e", "a\x01b\x02c").
 			SetAttr("", "ctl", "p\x1fq"),
 		"unicode":         xmlsoap.NewText("", "e", "héllo wörld — 日本語").SetAttr("", "u", "ünïcode"),
@@ -233,7 +234,8 @@ func TestMarshalDocSplit(t *testing.T) {
 // the golden corpus: every word-boundary sweep run, and mixed ASCII with
 // valid and invalid UTF-8 at and around word boundaries (a non-ASCII
 // rune between long plain runs, truncated and overlong sequences,
-// encoded surrogates, a literal U+FFFD, and runes next to escapes).
+// encoded surrogates, a literal U+FFFD, runes next to escapes, and
+// invalid bytes inside and after a run of valid runes).
 func escapeSweepInputs() []string {
 	var in []string
 	xmltest.WordBoundaryRuns(func(run []byte) { in = append(in, string(run)) })
@@ -243,7 +245,7 @@ func escapeSweepInputs() []string {
 		"\xc0\xaf", "\xed\xa0\x80", "\xf4\x90\x80\x80", "\x80\x80\x80",
 		"é&<>\"\n\t", "&é<日>本\"語", "a\xffb&c\xfe<d", "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7",
 		"1234567é", "12345678é", "123456789é", "1234567\xff", "12345678\xff",
-		"héllo wörld — 日本語", "ok\xffbad\xfe",
+		"héllo wörld — 日本語", "ok\xffbad\xfe", "日本\xff語", "éé\xc3", "\xe6\x97é&", "é\r\n",
 	} {
 		in = append(in, s, long+s, s+long, long+s+long, long+s+"&"+long+s)
 	}

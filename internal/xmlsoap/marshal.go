@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // PreferredPrefixes maps well-known namespace URIs to conventional
@@ -243,50 +244,59 @@ func (g *prefixGen) generated(i int) string {
 }
 
 // AppendEscapedText appends s to dst with the text-content escapes
-// (&, <, >) applied, copying in spans between escapable bytes. It never
-// allocates beyond dst growth.
+// (&, <, >, and \r as &#13;) applied, copying in spans between escapable
+// bytes. It never allocates beyond dst growth.
 func AppendEscapedText(dst []byte, s string) []byte {
 	return appendEscaped(dst, s, escapeText)
 }
 
 // AppendEscapedAttr appends s to dst with the attribute-value escapes
-// (&, <, >, ", newline, tab) applied.
+// (&, <, >, ", newline, tab, carriage return) applied.
 func AppendEscapedAttr(dst []byte, s string) []byte {
 	return appendEscaped(dst, s, escapeAttr)
 }
 
 // appendEscaped copies s into dst run by run, stopping only at the
-// bytes ctx escapes and at non-ASCII. A valid UTF-8 sequence stays part
+// bytes ctx escapes and at non-ASCII. Valid UTF-8 sequences stay part
 // of the run; an invalid byte becomes U+FFFD, as the rune-at-a-time
 // serializer this replaced always rendered it.
 func appendEscaped(dst []byte, s string, ctx Context) []byte {
+	b := unsafe.Slice(unsafe.StringData(s), len(s)) // read only
 	start := 0
-	for i := skip(s, 0, ctx); i < len(s); i = skip(s, i, ctx) {
-		c := s[i]
-		var esc string
-		switch c {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '"':
-			esc = "&quot;"
-		case '\n':
-			esc = "&#10;"
-		case '\t':
-			esc = "&#9;"
-		default:
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r != utf8.RuneError || size != 1 {
+	for i := Skip(b, 0, ctx); i < len(s); i = Skip(b, i, ctx) {
+		if s[i] >= utf8.RuneSelf {
+			// A run of valid multi-byte runes stays part of the span.
+			for i < len(s) && s[i] >= utf8.RuneSelf {
+				r, size := utf8.DecodeRuneInString(s[i:])
+				if r == utf8.RuneError && size == 1 {
+					break
+				}
 				i += size
+			}
+			if i == len(s) || s[i] < utf8.RuneSelf {
 				continue
 			}
-			esc = string(utf8.RuneError)
 		}
+		// Constant appends compile to stores, with no copy call.
 		dst = append(dst, s[start:i]...)
-		dst = append(dst, esc...)
+		switch s[i] {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		case '"':
+			dst = append(dst, "&quot;"...)
+		case '\n':
+			dst = append(dst, "&#10;"...)
+		case '\t':
+			dst = append(dst, "&#9;"...)
+		case '\r':
+			dst = append(dst, "&#13;"...)
+		default: // an invalid UTF-8 byte
+			dst = append(dst, string(utf8.RuneError)...)
+		}
 		i++
 		start = i
 	}

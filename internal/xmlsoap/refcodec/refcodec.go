@@ -144,6 +144,8 @@ func escapeText(b *strings.Builder, s string) {
 			b.WriteString("&lt;")
 		case '>':
 			b.WriteString("&gt;")
+		case '\r':
+			b.WriteString("&#13;")
 		default:
 			b.WriteRune(r)
 		}
@@ -165,6 +167,8 @@ func escapeAttr(b *strings.Builder, s string) {
 			b.WriteString("&#10;")
 		case '\t':
 			b.WriteString("&#9;")
+		case '\r':
+			b.WriteString("&#13;")
 		default:
 			b.WriteRune(r)
 		}

@@ -174,7 +174,7 @@ func (d *Decoder) scanText(quote int, cdata bool) (sref, error) {
 	}
 	i := d.pos
 	for {
-		i = skip(data, i, ctx)
+		i = Skip(data, i, ctx)
 		if i >= len(data) {
 			if cdata {
 				return sref{}, d.syntaxAt(i, "unexpected EOF in CDATA section")

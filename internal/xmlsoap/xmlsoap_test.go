@@ -110,6 +110,26 @@ func TestAttrEscaping(t *testing.T) {
 	}
 }
 
+// TestCarriageReturnRoundTrip: a raw \r would come back as \n (the
+// parser normalizes line ends), so both escapers write it as &#13;.
+func TestCarriageReturnRoundTrip(t *testing.T) {
+	e := NewText("", "x", "a\r\nb\r").SetAttr("", "v", "c\rd")
+	out, err := Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "<x v=\"c&#13;d\">a&#13;\nb&#13;</x>"; string(out) != want {
+		t.Fatalf("Marshal = %q, want %q", out, want)
+	}
+	back, err := Parse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := back.Attr("", "v"); back.Text != "a\r\nb\r" || got != "c\rd" {
+		t.Fatalf("round trip: text %q, attr %q", back.Text, got)
+	}
+}
+
 func TestChildHelpers(t *testing.T) {
 	e := New("urn:x", "p").Add(
 		NewText("urn:x", "c", "1"),
