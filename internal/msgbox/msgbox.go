@@ -36,7 +36,10 @@
 // request buffer goes back to the connection), and with a store the
 // same slice is handed to store.Put, so the mailbox and the store share
 // it. Start parks the slices store.PendingFor returns without copying
-// them. Nothing parked holds a pooled buffer.
+// them; after a restart those alias the store's WAL read buffers, so a
+// restart copies no payload, and a buffer is freed once every message
+// recovered from it has been taken. Nothing parked holds a pooled
+// buffer.
 //
 // # Take
 //

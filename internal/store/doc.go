@@ -38,12 +38,28 @@
 //   - Put takes m.Payload over without copying. The caller hands the
 //     slice to the store and must not modify it afterwards; it may keep
 //     reading it.
+//   - Open makes no copy of a payload at all: a recovered payload
+//     aliases its record in the WAL's read buffer, with capacity clipped
+//     to the record. Only the ID is cloned (a map key that travels to the
+//     mailbox and the courier), and destinations are interned, so every
+//     record for one box shares one string.
 //   - PendingFor returns messages whose Payload shares the stored bytes.
 //     They are read-only: a durable mailbox parks exactly these slices
-//     after a restart, so the replay's copy out of the WAL read buffer
-//     is the only copy a restart makes.
+//     after a restart, so a restart copies no payload.
 //   - Get returns a private copy, for callers on cold paths (the
 //     courier's per-attempt read) that want bytes nobody else sees.
+//
+// Memory bound: a read buffer (about wal.Config.SegmentSize) stays
+// pinned while any message recovered from it is live, and becomes
+// collectable once all of them are deleted. Recovery therefore never
+// pins more than the log's size at Open, which compaction keeps at most
+// about max(CompactAt, 2x the live state). The price is stragglers: a
+// few messages left from a drained backlog keep their buffers alive.
+// That is accepted; there is no second, copying recovery path for it.
+//
+// Each destination's messages sit in an insertion-ordered queue whose
+// deletes clear a slot and are compacted lazily, so draining a box in
+// any order costs amortized O(1) per delete.
 //
 // # One store per consumer
 //
@@ -53,6 +69,8 @@
 // core opens StoreDir/courier and StoreDir/msgbox independently.
 //
 // Fences: TestWALStoreCrashConsistency (acked never resurrected, unacked
-// never lost, at any prefix of the log), TestGetReturnsCopy, and the
-// durable-restart tests of msgbox, msgdisp and core.
+// never lost, at any prefix of the log), TestGetReturnsCopy,
+// TestRecoverySteadyStateAllocs and TestRecoveryBufferReleased (no
+// payload copy on Open; a buffer is freed with its last message), and
+// the durable-restart tests of msgbox, msgdisp and core.
 package store

@@ -54,15 +54,70 @@ const (
 // clock instant, so presence must be explicit).
 const putFlagExpires = 0x01
 
+// entry is a stored message and its slot in its destination's queue.
+type entry struct {
+	Message
+	pos int // index in queue.slots
+}
+
+// queue holds one destination's messages in insertion order. A delete
+// clears its slot; head skips the cleared prefix, and the slots are
+// compacted once more than half of those past head are clear, so a
+// delete in any order is amortized O(1).
+type queue struct {
+	dest  string // the byDest key; recovery interns destinations to it
+	slots []*entry
+	head  int // slots[:head] are all nil
+	live  int // non-nil slots
+}
+
+// push appends e, reusing the array when over half its slots are clear.
+func (q *queue) push(e *entry) {
+	if len(q.slots) == cap(q.slots) && 2*q.live < len(q.slots) {
+		q.compact()
+	}
+	e.pos = len(q.slots)
+	q.slots = append(q.slots, e)
+	q.live++
+}
+
+// remove clears e's slot and returns how many messages are left.
+func (q *queue) remove(e *entry) int {
+	q.slots[e.pos] = nil
+	q.live--
+	for q.head < len(q.slots) && q.slots[q.head] == nil {
+		q.head++
+	}
+	if 2*q.live < len(q.slots)-q.head {
+		q.compact()
+	}
+	return q.live
+}
+
+// compact moves the live slots to the front, in order.
+func (q *queue) compact() {
+	n := 0
+	for _, e := range q.slots[q.head:] {
+		if e != nil {
+			e.pos = n
+			q.slots[n] = e
+			n++
+		}
+	}
+	clear(q.slots[n:])
+	q.slots = q.slots[:n]
+	q.head = 0
+}
+
 // Store is a concurrent message store, optionally durable via a
 // write-ahead log.
 type Store struct {
 	clk clock.Clock
 
 	mu     sync.Mutex
-	byID   map[string]*Message
-	byDest map[string][]string // insertion-ordered IDs per destination
-	log    *wal.Log            // nil for a purely in-memory store
+	byID   map[string]*entry
+	byDest map[string]*queue
+	log    *wal.Log // nil for a purely in-memory store
 
 	// Staging for the zero-alloc WAL encode: the encode callback is one
 	// cached method value (encFn) reading these fields, set under mu
@@ -93,8 +148,8 @@ func New(clk clock.Clock) *Store {
 	}
 	s := &Store{
 		clk:       clk,
-		byID:      make(map[string]*Message),
-		byDest:    make(map[string][]string),
+		byID:      make(map[string]*entry),
+		byDest:    make(map[string]*queue),
 		compactAt: defaultCompactAt,
 	}
 	s.encFn = s.encodeStaged
@@ -192,8 +247,8 @@ func (s *Store) encodeStaged(dst []byte) []byte {
 // decode — a format version skew, not bit rot.
 var errBadRecord = errors.New("store: undecodable WAL record")
 
-// applyRecord is the WAL replay callback. rec aliases the reader's
-// buffer; everything retained is copied.
+// applyRecord is the WAL replay callback. rec aliases a read buffer
+// the log never reuses: a recovered payload keeps pointing into it.
 func (s *Store) applyRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return errBadRecord
@@ -201,18 +256,20 @@ func (s *Store) applyRecord(rec []byte) error {
 	op, rest := rec[0], rec[1:]
 	switch op {
 	case opPut:
-		m, err := decodePut(rest)
+		e, err := s.decodePut(rest)
 		if err != nil {
 			return err
 		}
-		if _, dup := s.byID[m.ID]; !dup {
-			s.insertLocked(m)
+		if _, dup := s.byID[e.ID]; !dup {
+			s.insertLocked(e)
 		}
 	case opDel:
-		s.removeLocked(string(rest))
+		if e := s.byID[string(rest)]; e != nil {
+			s.removeLocked(e)
+		}
 	case opAtt:
-		if m := s.byID[string(rest)]; m != nil {
-			m.Attempts++
+		if e := s.byID[string(rest)]; e != nil {
+			e.Attempts++
 		}
 	default:
 		return fmt.Errorf("%w: op %q", errBadRecord, op)
@@ -220,20 +277,22 @@ func (s *Store) applyRecord(rec []byte) error {
 	return nil
 }
 
-// decodePut decodes a put record body into a freshly allocated Message.
-// Its payload copy out of the replay buffer is the one copy of a
-// recovered message the process holds.
-func decodePut(b []byte) (*Message, error) {
+// decodePut decodes a put record body. The payload aliases the record,
+// capacity clipped to it. The ID is cloned: it becomes a map key and
+// travels to the mailbox and the courier. The destination is interned to
+// its queue's key, so every record for one box shares one string, and
+// none of the three pins the read buffer.
+func (s *Store) decodePut(b []byte) (*entry, error) {
 	if len(b) < 1 {
 		return nil, errBadRecord
 	}
 	flags := b[0]
 	b = b[1:]
-	id, b, ok := takeString(b)
+	id, b, ok := takeField(b)
 	if !ok {
 		return nil, errBadRecord
 	}
-	dest, b, ok := takeString(b)
+	dest, b, ok := takeField(b)
 	if !ok {
 		return nil, errBadRecord
 	}
@@ -255,24 +314,29 @@ func decodePut(b []byte) (*Message, error) {
 		return nil, errBadRecord
 	}
 	b = b[n:]
-	return &Message{
-		ID:          id,
-		Destination: dest,
-		Payload:     append([]byte(nil), b...),
+	var destination string
+	if q := s.byDest[string(dest)]; q != nil {
+		destination = q.dest
+	} else {
+		destination = string(dest)
+	}
+	return &entry{Message: Message{
+		ID:          string(id),
+		Destination: destination,
+		Payload:     b[:len(b):len(b)],
 		Enqueued:    time.Unix(0, enq),
 		Expires:     expires,
 		Attempts:    int(attempts),
-	}, nil
+	}}, nil
 }
 
-// takeString reads a uvarint-length-prefixed string, copying it out of
-// the record buffer.
-func takeString(b []byte) (string, []byte, bool) {
+// takeField reads a uvarint-length-prefixed field, aliasing the record.
+func takeField(b []byte) (field, rest []byte, ok bool) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], true
+	return b[sz : sz+int(n)], b[sz+int(n):], true
 }
 
 // appendStagedLocked writes the staged operation to the WAL, if one is
@@ -306,19 +370,24 @@ func (s *Store) Put(m *Message) error {
 	if m.Enqueued.IsZero() {
 		m.Enqueued = s.clk.Now()
 	}
-	cp := *m
-	s.encOp, s.encMsg = opPut, &cp
+	e := &entry{Message: *m}
+	s.encOp, s.encMsg = opPut, &e.Message
 	if err := s.appendStagedLocked(); err != nil {
 		return err
 	}
-	s.insertLocked(&cp)
+	s.insertLocked(e)
 	return nil
 }
 
-func (s *Store) insertLocked(m *Message) {
-	s.byID[m.ID] = m
-	s.byDest[m.Destination] = append(s.byDest[m.Destination], m.ID)
-	s.liveBytes += liveSize(m)
+func (s *Store) insertLocked(e *entry) {
+	q := s.byDest[e.Destination]
+	if q == nil {
+		q = &queue{dest: e.Destination}
+		s.byDest[q.dest] = q
+	}
+	q.push(e)
+	s.byID[e.ID] = e
+	s.liveBytes += liveSize(&e.Message)
 }
 
 // liveSize approximates a message's encoded record size for the
@@ -332,12 +401,12 @@ func liveSize(m *Message) int64 {
 func (s *Store) Get(id string) (*Message, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.byID[id]
+	e, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	cp := *m
-	cp.Payload = append([]byte(nil), m.Payload...)
+	cp := e.Message
+	cp.Payload = append([]byte(nil), e.Payload...)
 	return &cp, nil
 }
 
@@ -346,34 +415,24 @@ func (s *Store) Get(id string) (*Message, error) {
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byID[id]; !ok {
+	e, ok := s.byID[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	s.encOp, s.encID = opDel, id
 	if err := s.appendStagedLocked(); err != nil {
 		return err
 	}
-	s.removeLocked(id)
+	s.removeLocked(e)
 	s.maybeCompactLocked()
 	return nil
 }
 
-func (s *Store) removeLocked(id string) {
-	m, ok := s.byID[id]
-	if !ok {
-		return
-	}
-	delete(s.byID, id)
-	s.liveBytes -= liveSize(m)
-	ids := s.byDest[m.Destination]
-	for i, x := range ids {
-		if x == id {
-			s.byDest[m.Destination] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(s.byDest[m.Destination]) == 0 {
-		delete(s.byDest, m.Destination)
+func (s *Store) removeLocked(e *entry) {
+	delete(s.byID, e.ID)
+	s.liveBytes -= liveSize(&e.Message)
+	if s.byDest[e.Destination].remove(e) == 0 {
+		delete(s.byDest, e.Destination)
 	}
 }
 
@@ -382,7 +441,7 @@ func (s *Store) removeLocked(id string) {
 func (s *Store) MarkAttempt(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.byID[id]
+	e, ok := s.byID[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -390,7 +449,7 @@ func (s *Store) MarkAttempt(id string) error {
 	if err := s.appendStagedLocked(); err != nil {
 		return err
 	}
-	m.Attempts++
+	e.Attempts++
 	return nil
 }
 
@@ -401,8 +460,11 @@ func (s *Store) PendingFor(destination string, max int) []*Message {
 	now := s.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := s.byDest[destination]
-	n := len(ids)
+	q := s.byDest[destination]
+	if q == nil {
+		return []*Message{}
+	}
+	n := q.live
 	if max > 0 && max < n {
 		n = max
 	}
@@ -410,12 +472,11 @@ func (s *Store) PendingFor(destination string, max int) []*Message {
 	// the pointers into it stay valid.
 	msgs := make([]Message, 0, n)
 	out := make([]*Message, 0, n)
-	for _, id := range ids {
-		m := s.byID[id]
-		if m == nil || m.Expired(now) {
+	for _, e := range q.slots[q.head:] {
+		if e == nil || e.Expired(now) {
 			continue
 		}
-		msgs = append(msgs, *m)
+		msgs = append(msgs, e.Message)
 		out = append(out, &msgs[len(msgs)-1])
 		if len(out) == n {
 			break
@@ -445,16 +506,16 @@ func (s *Store) Sweep() int {
 	now := s.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var dead []string
-	for id, m := range s.byID {
-		if m.Expired(now) {
-			dead = append(dead, id)
+	var dead []*entry
+	for _, e := range s.byID {
+		if e.Expired(now) {
+			dead = append(dead, e)
 		}
 	}
-	for _, id := range dead {
-		s.encOp, s.encID = opDel, id
+	for _, e := range dead {
+		s.encOp, s.encID = opDel, e.ID
 		_ = s.appendStagedLocked()
-		s.removeLocked(id)
+		s.removeLocked(e)
 	}
 	s.expired += int64(len(dead))
 	if len(dead) > 0 {
@@ -484,13 +545,12 @@ func (s *Store) compactLocked() error {
 		return nil
 	}
 	return s.log.Compact(func(w *wal.Snapshot) error {
-		for _, ids := range s.byDest {
-			for _, id := range ids {
-				m := s.byID[id]
-				if m == nil {
+		for _, q := range s.byDest {
+			for _, e := range q.slots[q.head:] {
+				if e == nil {
 					continue
 				}
-				s.encOp, s.encMsg = opPut, m
+				s.encOp, s.encMsg = opPut, &e.Message
 				if err := w.Append(s.encFn); err != nil {
 					return err
 				}

@@ -2,7 +2,10 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,5 +245,105 @@ func TestQuickStoreConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPendingForOrderAcrossDeletes: PendingFor keeps insertion order
+// whatever order messages are deleted in — oldest first (a mailbox's
+// takes), newest first, or anywhere in between — with puts interleaved,
+// across several destinations and with a max.
+func TestPendingForOrderAcrossDeletes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := New(clock.Wall)
+	ref := map[string][]string{} // destination -> live IDs in insertion order
+	dests := []string{"d0", "d1", "d2"}
+	for step := 0; step < 20000; step++ {
+		d := dests[rng.Intn(len(dests))]
+		ids := ref[d]
+		switch op := rng.Intn(10); {
+		case op < 5 || len(ids) == 0:
+			id := fmt.Sprintf("m%d", step)
+			if err := s.Put(msg(id, d, id)); err != nil {
+				t.Fatal(err)
+			}
+			ref[d] = append(ids, id)
+			continue
+		case op < 7: // oldest
+			ref[d] = ids[1:]
+			if err := s.Delete(ids[0]); err != nil {
+				t.Fatal(err)
+			}
+		case op < 8: // newest
+			ref[d] = ids[:len(ids)-1]
+			if err := s.Delete(ids[len(ids)-1]); err != nil {
+				t.Fatal(err)
+			}
+		default: // anywhere
+			i := rng.Intn(len(ids))
+			ref[d] = slices.Delete(slices.Clone(ids), i, i+1)
+			if err := s.Delete(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		max := rng.Intn(4)
+		var got []string
+		for _, m := range s.PendingFor(d, max) {
+			if string(m.Payload) != m.ID {
+				t.Fatalf("step %d: %s carries payload %q", step, m.ID, m.Payload)
+			}
+			got = append(got, m.ID)
+		}
+		want := ref[d]
+		if max > 0 && max < len(want) {
+			want = want[:max]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: PendingFor(%s, %d) = %v, want %v", step, d, max, got, want)
+		}
+	}
+	for _, d := range dests {
+		var got []string
+		for _, m := range s.PendingFor(d, 0) {
+			got = append(got, m.ID)
+		}
+		if !slices.Equal(got, ref[d]) {
+			t.Fatalf("PendingFor(%s) = %v, want %v", d, got, ref[d])
+		}
+	}
+}
+
+// BenchmarkStoreDrain deletes one destination's messages oldest first,
+// as a mailbox's takes and a courier's acks do, from a backlog of n
+// that is refilled, off the clock, whenever it runs dry. One op is one
+// delete, and its cost should not grow with n.
+func BenchmarkStoreDrain(b *testing.B) {
+	for _, n := range []int{10_000, 160_000} {
+		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+			ids := make([]string, n)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("drain-%06d", i)
+			}
+			payload := []byte("x")
+			s := New(clock.Wall)
+			next := n
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next == n {
+					b.StopTimer()
+					for _, id := range ids {
+						if err := s.Put(&Message{ID: id, Destination: "d", Payload: payload}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					next = 0
+					b.StartTimer()
+				}
+				if err := s.Delete(ids[next]); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/delete")
+		})
 	}
 }

@@ -78,6 +78,15 @@
 // boundary and the steady-state append path allocates nothing
 // (TestWALAppendSteadyStateAllocs gates it, like the codec paths).
 // Callers pass an encode func that APPENDS the payload to the slice it
-// is given and returns the extended slice; the bytes handed to replay
-// callbacks alias a read buffer and are valid only for the callback.
+// is given and returns the extended slice. Compact gathers its snapshot
+// records in a 1 MiB buffer, flushed before the fsync, so a compaction
+// makes one write per MiB rather than one per record while the log is
+// locked.
+//
+// Replay reads each segment into buffers of about Config.SegmentSize
+// that the log never reuses or writes: a sealed segment is one buffer,
+// and a snapshot base larger than that is read in record-aligned pieces.
+// The bytes handed to a replay callback alias such a buffer, so the
+// callback may retain them read-only, without copying, and must never
+// modify them. A retained record keeps its whole buffer alive.
 package wal

@@ -3,7 +3,10 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,6 +130,71 @@ func TestFaultShortWriteRecovered(t *testing.T) {
 	if len(got) != 3 || got[2] != "post-recovery" {
 		t.Fatalf("final state %q", got)
 	}
+}
+
+// TestFaultShortWriteMidSnapshot: a short write anywhere in a
+// compaction's snapshot — in a buffer flushed mid-snapshot, or in the
+// final flush — fails Compact, removes compact.tmp and leaves the old
+// segments byte for byte, and the log still replays every record.
+func TestFaultShortWriteMidSnapshot(t *testing.T) {
+	rec := strings.Repeat("r", 1000)
+	const records = 1500 // ~1.5 MB: the snapshot buffer flushes once before the end
+	for _, budget := range []int{100, 600 << 10, 1200 << 10} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			ft := &fault{budget: -1}
+			installFault(t, ft)
+			l, _ := collect(t, dir, Config{Sync: SyncNever})
+			for i := 0; i < records; i++ {
+				if err := l.Append(encStr(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
+			ft.budget = budget
+			err := l.Compact(func(w *Snapshot) error {
+				for i := 0; i < records; i++ {
+					if err := w.Append(encStr(rec)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("Compact with a short write: err = %v, want injected fault", err)
+			}
+			ft.budget = -1
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("failed compaction changed the log directory: %d files before, %d after", len(before), len(after))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, got := collect(t, dir, Config{Sync: SyncNever})
+			defer l2.Close()
+			if len(got) != records {
+				t.Fatalf("replayed %d records after the failed compaction, want %d", len(got), records)
+			}
+		})
+	}
+}
+
+// dirFiles maps every file name in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
 }
 
 // TestFaultSyncFailureSticky: a failed fsync under SyncAlways surfaces

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -148,8 +149,9 @@ type Log struct {
 
 // Open opens (creating if needed) the log in dir and replays every
 // whole record into the replay callback in append order. The record
-// slice aliases a read buffer valid only for the duration of the
-// callback; copy anything retained. A replay error aborts Open.
+// slice aliases a read buffer the log never reuses or writes: the
+// callback may retain it, read-only, and must never modify it. A replay
+// error aborts Open.
 func Open(dir string, cfg Config, replay func(rec []byte) error) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
@@ -302,27 +304,60 @@ func readSegHeader(path string, wantSeq uint32) (byte, error) {
 	return hdr[12], nil
 }
 
-// replaySegment replays one segment's records. On the final (writable)
-// segment a torn or corrupt tail is truncated away; anywhere else it is
+// replaySegment replays one segment's records. It reads the segment into
+// buffers the log never reuses or writes, so replay callbacks may retain
+// the records they are handed. A buffer holds about Config.SegmentSize
+// bytes of whole records: a sealed segment fits in one, and a snapshot
+// base larger than that is read in record-aligned pieces, so a retained
+// record pins no more than its piece. On the final (writable) segment a
+// torn or corrupt tail is truncated away; anywhere else it is
 // ErrCorrupt. Returns the segment's valid size.
 func (l *Log) replaySegment(path string, isLast bool, replay func([]byte) error) (int64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
-	off := headerSize
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < recHeaderSize {
-			return l.truncateTail(path, int64(off), isLast)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: read %s: %w", path, err)
+	}
+	size := fi.Size()
+	var buf []byte            // the current piece
+	base := int64(headerSize) // file offset of buf[0]
+	off := int64(headerSize)  // file offset of the next record
+	for off < size {
+		rest := buf[off-base:]
+		need := recHeaderSize
+		if len(rest) >= recHeaderSize {
+			n := int(binary.LittleEndian.Uint32(rest[0:4]))
+			if n > l.cfg.MaxRecord {
+				return l.truncateTail(path, off, isLast)
+			}
+			need += n
 		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > l.cfg.MaxRecord || recHeaderSize+n > len(rest) {
-			return l.truncateTail(path, int64(off), isLast)
+		if need > len(rest) {
+			if base+int64(len(buf)) == size {
+				return l.truncateTail(path, off, isLast)
+			}
+			// The record runs past the current piece (if any): read the
+			// next one from the record's start. Bytes of it the old
+			// piece holds stay unused there.
+			left := size - off
+			want := max(l.cfg.SegmentSize, int64(need))
+			if left < want+want/2 {
+				want = left
+			}
+			buf = make([]byte, want)
+			if _, err := f.ReadAt(buf, off); err != nil {
+				return 0, fmt.Errorf("wal: read %s: %w", path, err)
+			}
+			base = off
+			continue
 		}
-		payload := rest[recHeaderSize : recHeaderSize+n]
+		payload := rest[recHeaderSize:need:need]
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return l.truncateTail(path, int64(off), isLast)
+			return l.truncateTail(path, off, isLast)
 		}
 		if replay != nil {
 			if err := replay(payload); err != nil {
@@ -330,9 +365,9 @@ func (l *Log) replaySegment(path string, isLast bool, replay func([]byte) error)
 			}
 		}
 		l.RecoveredRecords.Inc()
-		off += recHeaderSize + n
+		off += int64(need)
 	}
-	return int64(off), nil
+	return off, nil
 }
 
 // truncateTail recovers a torn tail on the final segment by cutting the
@@ -578,11 +613,15 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// snapshotBuffer sizes the writer that gathers a compaction's records
+// into large writes: Compact runs with the log locked.
+const snapshotBuffer = 1 << 20
+
 // Snapshot receives the live state during Compact. Append has the same
 // encode contract as Log.Append.
 type Snapshot struct {
 	l       *Log
-	f       segFile
+	bw      *bufio.Writer
 	path    string
 	size    int64
 	scratch *xmlsoap.Buffer
@@ -605,7 +644,7 @@ func (w *Snapshot) Append(encode func(dst []byte) []byte) error {
 	}
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
-	n, err := w.f.Write(b)
+	n, err := w.bw.Write(b)
 	w.size += int64(n)
 	if err != nil {
 		w.err = fmt.Errorf("wal: snapshot write %s: %w", w.path, err)
@@ -644,13 +683,14 @@ func (l *Log) Compact(snapshot func(w *Snapshot) error) error {
 	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], newSeq)
 	hdr[12] = flagBase
-	w := &Snapshot{l: l, f: f, path: tmpPath, size: headerSize, scratch: xmlsoap.GetBuffer()}
-	if _, err := f.Write(hdr[:]); err != nil {
-		w.err = fmt.Errorf("wal: snapshot header: %w", err)
+	w := &Snapshot{l: l, bw: bufio.NewWriterSize(f, snapshotBuffer), path: tmpPath, size: headerSize, scratch: xmlsoap.GetBuffer()}
+	w.bw.Write(hdr[:]) // into an empty buffer: it cannot fail
+	if err := snapshot(w); err != nil && w.err == nil {
+		w.err = err
 	}
 	if w.err == nil {
-		if err := snapshot(w); err != nil && w.err == nil {
-			w.err = err
+		if err := w.bw.Flush(); err != nil {
+			w.err = fmt.Errorf("wal: snapshot write %s: %w", tmpPath, err)
 		}
 	}
 	if w.err == nil {

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -323,6 +325,75 @@ func TestCompaction(t *testing.T) {
 // a stale .tmp (pre-rename — ignored and deleted) or a base segment
 // alongside stale older segments (post-rename — older segments are
 // superseded and deleted, replay starts at the base).
+// TestBaseSnapshotReadInPieces: a snapshot base many times SegmentSize
+// replays from record-aligned read buffers of about that size, one
+// record larger than a whole buffer included, and every record stays
+// intact after Open returns: the callback may retain what it is handed.
+func TestBaseSnapshotReadInPieces(t *testing.T) {
+	const seg = 4 << 10
+	dir := filepath.Join(t.TempDir(), "wal")
+	cfg := Config{Sync: SyncNever, SegmentSize: seg}
+	var want []string
+	for i := 0; i < 200; i++ {
+		n := 50 + i*397%700
+		if i == 100 {
+			n = 3 * seg
+		}
+		want = append(want, strings.Repeat(string(rune('a'+i%26)), n))
+	}
+	l, _ := collect(t, dir, cfg)
+	err := l.Compact(func(w *Snapshot) error {
+		for _, r := range want {
+			if err := w.Append(encStr(r)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	l2, err := Open(dir, cfg, func(rec []byte) error {
+		got = append(got, rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	// Records that follow each other in one buffer sit one frame header
+	// apart; anywhere else a new buffer begins.
+	pieces, span := 1, recHeaderSize+len(got[0])
+	for i := range got {
+		if string(got[i]) != want[i] {
+			t.Fatalf("record %d changed after replay", i)
+		}
+		if i == 0 {
+			continue
+		}
+		end := uintptr(unsafe.Pointer(unsafe.SliceData(got[i-1]))) + uintptr(len(got[i-1]))
+		if uintptr(unsafe.Pointer(unsafe.SliceData(got[i]))) == end+recHeaderSize {
+			span += recHeaderSize + len(got[i])
+			continue
+		}
+		pieces++
+		span = recHeaderSize + len(got[i])
+		if span > seg+seg/2 && len(got[i]) != 3*seg {
+			t.Fatalf("a read buffer holds %d bytes, want about %d", span, seg)
+		}
+	}
+	if size := l2.Size(); int64(pieces) < size/(2*seg) {
+		t.Fatalf("a %d-byte base replayed from %d buffers, want pieces of about %d bytes", size, pieces, seg)
+	}
+}
+
 func TestCompactionCrashLeftovers(t *testing.T) {
 	t.Run("pre-rename tmp", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "wal")
