@@ -125,6 +125,42 @@ func TestMaxIdlePerHostCapEvicts(t *testing.T) {
 	}
 }
 
+// TestDefaultIdlePoolAbsorbsBursts pins DefaultMaxIdlePerHost: repeated
+// bursts of that many concurrent exchanges to one target dial once per
+// connection of the first burst and never again, where the old cap of 4
+// redialed all but 4 connections of every burst. A wider burst redials
+// only its overflow.
+func TestDefaultIdlePoolAbsorbsBursts(t *testing.T) {
+	if DefaultMaxIdlePerHost != 32 {
+		t.Fatalf("DefaultMaxIdlePerHost = %d, want the measured 32", DefaultMaxIdlePerHost)
+	}
+	for _, c := range []struct{ width, wantDials int }{
+		{32, 32},
+		{40, 40 + 4*8},
+	} {
+		env, dialer := newCountingEnv(t, ClientConfig{})
+		for round := 0; round < 5; round++ {
+			resps := make([]*Response, c.width)
+			for i := range resps {
+				resp, err := env.client.Do(env.addr, NewRequest("POST", "/e", []byte("burst")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps[i] = resp
+			}
+			for _, r := range resps {
+				r.Release()
+			}
+		}
+		if got := dialer.dials.Load(); got != int64(c.wantDials) {
+			t.Fatalf("%d-way bursts x 5: %d dials, want %d", c.width, got, c.wantDials)
+		}
+		if got := env.client.IdleConns(env.addr); got != DefaultMaxIdlePerHost {
+			t.Fatalf("idle conns after the bursts = %d, want %d", got, DefaultMaxIdlePerHost)
+		}
+	}
+}
+
 // streamEcho sends body as a burst of one on s and checks the echo.
 func streamEcho(t *testing.T, s *Stream, body string) error {
 	t.Helper()

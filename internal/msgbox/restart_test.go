@@ -191,21 +191,27 @@ func TestRestartReturnsDepositedBytes(t *testing.T) {
 }
 
 // BenchmarkMailboxRestart is the restart of a durable mailbox service
-// over 10k parked messages: store.Open (WAL replay) plus Start (every
-// message back in its box). B/op is what the restart allocates.
+// over n parked messages: store.Open (WAL replay) plus Start (every
+// message back in its box). B/op is what the restart allocates. The 50k
+// case is about mbox-durable's backlog, and replays from several
+// segments.
 func BenchmarkMailboxRestart(b *testing.B) {
-	const n = 10000
-	dir := filepath.Join(b.TempDir(), "mbox")
-	parkBacklog(b, dir, n, parkedEnvelope(776))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, svc := restartMailbox(b, dir, n)
-		b.StopTimer()
-		svc.Stop()
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
+	for _, n := range []int{10_000, 50_000} {
+		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
+			dir := filepath.Join(b.TempDir(), "mbox")
+			parkBacklog(b, dir, n, parkedEnvelope(776))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, svc := restartMailbox(b, dir, n)
+				b.StopTimer()
+				svc.Stop()
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				b.StartTimer()
+			}
+		})
 	}
 }

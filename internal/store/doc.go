@@ -25,7 +25,13 @@
 //
 // When the log passes CompactAt (default 1 MiB) and twice the live
 // state, a mutation compacts it: a snapshot of the live messages becomes
-// the new base segment and the retired segments are deleted. Expiry
+// the new base segment and the retired segments are deleted. Only the
+// cut holds the store's lock: it cuts the log (wal.Log.Cut) and lists
+// the live messages with their attempt counts. The snapshot is written,
+// fsynced and installed on a goroutine of its own while Put, Delete and
+// PendingFor go on; Close waits for it. Should the log reach twice the
+// size that made the compaction due before the snapshot is in place, a
+// mutation waits for it, so the log stays bounded. Expiry
 // sweeps never block on append errors — an unlogged expiry delete
 // self-heals on the next replay, since expiry is re-derived from
 // timestamps.

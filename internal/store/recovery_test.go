@@ -141,3 +141,45 @@ func weakPayload(t *testing.T, s *Store, id string) weak.Pointer[byte] {
 	t.Fatalf("%s not recovered", id)
 	return weak.Pointer[byte]{}
 }
+
+// BenchmarkStoreOpen measures one Open over a backlog of 50k 1 KiB puts
+// to 200 destinations in default-sized (4 MiB) segments: the replay a
+// restarting mailbox waits out before it serves. Run it with -cpu 1,2 to
+// see what reading ahead on a second core buys.
+func BenchmarkStoreOpen(b *testing.B) {
+	const records = 50000
+	dir := filepath.Join(b.TempDir(), "wal")
+	opts := Options{WAL: wal.Config{Sync: wal.SyncNever}}
+	s, err := Open(clock.Wall, dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{'p'}, 1024)
+	for i := 0; i < records; i++ {
+		m := &Message{ID: fmt.Sprintf("urn:uuid:rec-%06d", i), Destination: fmt.Sprintf("mbox:%03d", i%200), Payload: payload}
+		if err := s.Put(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(clock.Wall, dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := s.Len(); n != records {
+			b.Fatalf("recovered %d messages, want %d", n, records)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		s = nil
+		runtime.GC()
+		b.StartTimer()
+	}
+}

@@ -132,6 +132,11 @@ type Store struct {
 	liveBytes int64
 	compactAt int64
 
+	// compacting is set while a compaction writes its snapshot without
+	// mu held; compactDone (on mu) is broadcast when it ends.
+	compacting  bool
+	compactDone *sync.Cond
+
 	// counters
 	expired int64
 }
@@ -153,6 +158,7 @@ func New(clk clock.Clock) *Store {
 		compactAt: defaultCompactAt,
 	}
 	s.encFn = s.encodeStaged
+	s.compactDone = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -186,10 +192,14 @@ func Open(clk clock.Clock, dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Close syncs and releases the backing log, if any.
+// Close waits out a compaction in flight, then syncs and releases the
+// backing log, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.compacting {
+		s.compactDone.Wait()
+	}
 	if s.log != nil {
 		err := s.log.Close()
 		s.log = nil
@@ -218,29 +228,32 @@ func (s *Store) WAL() *wal.Log { return s.log }
 // operation (encOp/encMsg/encID, set under mu) to dst. One method value
 // of it is cached in encFn so appends allocate nothing.
 func (s *Store) encodeStaged(dst []byte) []byte {
-	switch s.encOp {
-	case opPut:
-		m := s.encMsg
-		var flags byte
-		if !m.Expires.IsZero() {
-			flags |= putFlagExpires
-		}
-		dst = append(dst, opPut, flags)
-		dst = binary.AppendUvarint(dst, uint64(len(m.ID)))
-		dst = append(dst, m.ID...)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Destination)))
-		dst = append(dst, m.Destination...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Enqueued.UnixNano()))
-		if flags&putFlagExpires != 0 {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Expires.UnixNano()))
-		}
-		dst = binary.AppendUvarint(dst, uint64(m.Attempts))
-		dst = append(dst, m.Payload...)
-	default: // opDel, opAtt: just the ID
-		dst = append(dst, s.encOp)
-		dst = append(dst, s.encID...)
+	if s.encOp == opPut {
+		return appendPut(dst, s.encMsg, s.encMsg.Attempts)
 	}
-	return dst
+	// opDel, opAtt: just the ID
+	dst = append(dst, s.encOp)
+	return append(dst, s.encID...)
+}
+
+// appendPut appends a put record for m, with attempts as its attempt
+// count, to dst.
+func appendPut(dst []byte, m *Message, attempts int) []byte {
+	var flags byte
+	if !m.Expires.IsZero() {
+		flags |= putFlagExpires
+	}
+	dst = append(dst, opPut, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(m.ID)))
+	dst = append(dst, m.ID...)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Destination)))
+	dst = append(dst, m.Destination...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Enqueued.UnixNano()))
+	if flags&putFlagExpires != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Expires.UnixNano()))
+	}
+	dst = binary.AppendUvarint(dst, uint64(attempts))
+	return append(dst, m.Payload...)
 }
 
 // errBadRecord marks a WAL record that passed its checksum but does not
@@ -524,48 +537,107 @@ func (s *Store) Sweep() int {
 	return len(dead)
 }
 
-// maybeCompactLocked compacts the log once it is both past the
-// CompactAt floor and more than half garbage. Compaction failures are
-// not surfaced here — the log's sticky error resurfaces on the next
-// mutating call.
+// maybeCompactLocked starts a compaction once the log is both past the
+// CompactAt floor and more than half garbage, and none runs yet. The
+// snapshot is written and installed on a goroutine of its own, so the
+// mutation that made it due does not wait for it. While one runs, a
+// mutation that finds the log at twice the size that makes a compaction
+// due waits for it: a snapshot written more slowly than the log grows
+// cannot let the log run away. Compaction failures are not surfaced
+// here — a failed snapshot leaves the log as it was, and the log's
+// sticky error resurfaces on the next mutating call.
 func (s *Store) maybeCompactLocked() {
 	if s.log == nil {
 		return
 	}
-	size := s.log.Size()
-	if size < s.compactAt || size < 2*s.liveBytes {
+	due, size := max(s.compactAt, 2*s.liveBytes), s.log.Size()
+	if s.compacting {
+		for size >= 2*due && s.compacting {
+			s.compactDone.Wait()
+		}
 		return
 	}
-	_ = s.compactLocked()
+	if size < due {
+		return
+	}
+	if w, live, err := s.cutLocked(); err == nil {
+		go s.writeSnapshot(w, live)
+	}
 }
 
-// compactLocked snapshots the live state into a fresh WAL base segment.
-func (s *Store) compactLocked() error {
-	if s.log == nil {
-		return nil
+// liveAt is a live message as of a compaction's cut. Everything in it
+// but Attempts is immutable once stored, so only Attempts is copied.
+type liveAt struct {
+	e        *entry
+	attempts int
+}
+
+// cutLocked cuts the log and lists the live messages, so the snapshot
+// can be written without mu. Both happen under mu, with no append in
+// between: the snapshot holds exactly the state that the segments
+// before the cut add up to.
+func (s *Store) cutLocked() (*wal.Snapshot, []liveAt, error) {
+	w, err := s.log.Cut()
+	if err != nil {
+		return nil, nil, err
 	}
-	return s.log.Compact(func(w *wal.Snapshot) error {
-		for _, q := range s.byDest {
-			for _, e := range q.slots[q.head:] {
-				if e == nil {
-					continue
-				}
-				s.encOp, s.encMsg = opPut, &e.Message
-				if err := w.Append(s.encFn); err != nil {
-					return err
-				}
+	live := make([]liveAt, 0, len(s.byID))
+	for _, q := range s.byDest {
+		for _, e := range q.slots[q.head:] {
+			if e != nil {
+				live = append(live, liveAt{e, e.Attempts})
 			}
 		}
-		return nil
-	})
+	}
+	s.compacting = true
+	return w, live, nil
 }
 
-// Compact forces a snapshot compaction of the backing log (no-op for
-// in-memory stores).
+// snapshotHook runs between a compaction's cut and its snapshot write.
+// Tests set it to hold a compaction open; it is nil otherwise.
+var snapshotHook func()
+
+// writeSnapshot writes the live messages into w and installs it, then
+// lets the next compaction start. It runs without mu.
+func (s *Store) writeSnapshot(w *wal.Snapshot, live []liveAt) error {
+	if snapshotHook != nil {
+		snapshotHook()
+	}
+	var cur liveAt
+	enc := func(dst []byte) []byte { return appendPut(dst, &cur.e.Message, cur.attempts) }
+	for _, cur = range live {
+		if w.Append(enc) != nil {
+			break // Install reports the error
+		}
+	}
+	err := w.Install()
+	s.mu.Lock()
+	s.compacting = false
+	s.compactDone.Broadcast()
+	s.mu.Unlock()
+	return err
+}
+
+// Compact snapshots the live state into a fresh WAL base segment and
+// returns once it is installed (a no-op for in-memory stores). It holds
+// the store's lock only while it cuts the log: Put, Delete and the rest
+// go on while the snapshot is written. A compaction in flight is waited
+// out first.
 func (s *Store) Compact() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
+	for s.compacting {
+		s.compactDone.Wait()
+	}
+	if s.log == nil {
+		s.mu.Unlock()
+		return nil
+	}
+	w, live, err := s.cutLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.writeSnapshot(w, live)
 }
 
 // Len returns the number of live messages.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,5 +258,239 @@ func BenchmarkStorePutDelete(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// holdCompaction makes the next compactions stop between their cut and
+// their snapshot write: entered receives once per held compaction, and
+// each waits for a send on release.
+func holdCompaction(t *testing.T) (entered, release chan struct{}) {
+	t.Helper()
+	entered, release = make(chan struct{}), make(chan struct{})
+	snapshotHook = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	t.Cleanup(func() { snapshotHook = nil })
+	return entered, release
+}
+
+// storeState lists every live message as "id dest attempts payload",
+// sorted, so two stores can be compared.
+func storeState(s *Store) []string {
+	var out []string
+	for _, d := range s.Destinations() {
+		for _, m := range s.PendingFor(d, 0) {
+			out = append(out, fmt.Sprintf("%s %s %d %s", m.ID, m.Destination, m.Attempts, m.Payload))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestMutationsDuringCompact: while a Compact writes its snapshot, Put,
+// Delete, MarkAttempt and PendingFor return before it does. A crash
+// before the install, and a reopen after it, both recover the state the
+// store holds, mutations during the compaction included.
+func TestMutationsDuringCompact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	opts := Options{WAL: wal.Config{Sync: wal.SyncNever, SegmentSize: 4 << 10}, CompactAt: 1 << 40}
+	s, err := Open(clock.Wall, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := s.Put(&Message{ID: fmt.Sprintf("m%03d", i), Destination: fmt.Sprintf("d%d", i%3), Payload: []byte(fmt.Sprintf("payload-%03d", i))}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := s.Delete(fmt.Sprintf("m%03d", i-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.MarkAttempt("m001"); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := holdCompaction(t)
+	compacted := make(chan error, 1)
+	go func() { compacted <- s.Compact() }()
+	<-entered
+
+	mutated := make(chan error, 1)
+	go func() {
+		mutated <- func() error {
+			if err := s.Put(&Message{ID: "during", Destination: "d0", Payload: []byte("put during the compaction")}); err != nil {
+				return err
+			}
+			if err := s.Delete("m003"); err != nil {
+				return err
+			}
+			if err := s.MarkAttempt("m001"); err != nil {
+				return err
+			}
+			if n := len(s.PendingFor("d0", 0)); n == 0 {
+				return errors.New("PendingFor found nothing")
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-mutated:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a Put during a Compact waited for the compaction")
+	}
+	select {
+	case err := <-compacted:
+		t.Fatalf("Compact returned (%v) while its snapshot write was held", err)
+	default:
+	}
+	want := storeState(s)
+	crash := filepath.Join(t.TempDir(), "crash")
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	release <- struct{}{}
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if n := s.WAL().Compactions.Value(); n != 1 {
+		t.Fatalf("Compactions = %d, want 1", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]string{"crash before the install": crash, "reopen after the install": dir} {
+		s2, err := Open(clock.Wall, d, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := storeState(s2); !slices.Equal(got, want) {
+			t.Fatalf("%s: recovered %d messages %q, want %d %q", name, len(got), got, len(want), want)
+		}
+		s2.Close()
+	}
+}
+
+// TestAutoCompactionInBackground: the mutation that makes a compaction
+// due returns without writing the snapshot, and mutations go on while
+// it is written, until the log reaches twice the size that made the
+// compaction due: from there a mutation waits for the snapshot, so the
+// log stays bounded however slowly the snapshot is written. Close waits
+// for a compaction in flight, and the reopened store holds every
+// mutation.
+func TestAutoCompactionInBackground(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	const compactAt = 8 << 10
+	opts := Options{CompactAt: compactAt, WAL: wal.Config{Sync: wal.SyncNever, SegmentSize: 2 << 10}}
+	s, err := Open(clock.Wall, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := holdCompaction(t)
+	lg := s.WAL()
+	payload := make([]byte, 128)
+	i := 0
+	churn := func() error {
+		if err := s.Put(&Message{ID: fmt.Sprintf("m%04d", i), Destination: "d", Payload: payload}); err != nil {
+			return err
+		}
+		if i >= 4 {
+			if err := s.Delete(fmt.Sprintf("m%04d", i-4)); err != nil {
+				return err
+			}
+		}
+		i++
+		return nil
+	}
+	for held := false; !held; {
+		if err := churn(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+			held = true
+		default:
+		}
+		if i > 1000 {
+			t.Fatal("no compaction started")
+		}
+	}
+	// The Delete that made the compaction due has returned; a few more
+	// mutations go on while the snapshot write is held.
+	for j := 0; j < 10; j++ {
+		if err := churn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Churning on, the log reaches twice the due size and a mutation
+	// waits for the snapshot.
+	churned := make(chan error, 1)
+	go func() {
+		churned <- func() error {
+			for j := 0; j < 500; j++ {
+				if err := churn(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}()
+	}()
+	select {
+	case err := <-churned:
+		t.Fatalf("500 more puts and deletes (%v) did not wait for the snapshot; log size %d", err, lg.Size())
+	case <-time.After(200 * time.Millisecond):
+	}
+	if size := lg.Size(); size < 2*compactAt || size > 2*compactAt+1<<10 {
+		t.Fatalf("a mutation waits at log size %d, want about %d", size, 2*compactAt)
+	}
+	snapshotHook = nil
+	release <- struct{}{}
+	if err := <-churned; err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for a compaction in flight. (Compact first waits out
+	// any compaction the churn left running, so the hook is swapped with
+	// none reading it.)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	entered, release = holdCompaction(t)
+	for held := false; !held; {
+		if err := churn(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+			held = true
+		default:
+		}
+	}
+	want := storeState(s)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) under a compaction in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release <- struct{}{}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := lg.Compactions.Value(); n < 2 {
+		t.Fatalf("Compactions = %d, want at least 2", n)
+	}
+	s2, err := Open(clock.Wall, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := storeState(s2); !slices.Equal(got, want) {
+		t.Fatalf("recovered %q, want %q", got, want)
 	}
 }

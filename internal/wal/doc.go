@@ -31,7 +31,18 @@
 // segment whose header carries the snapshot-base flag (older segments
 // are retired state superseded by that snapshot and are deleted). A
 // record is applied only if its length is plausible and its checksum
-// matches. Corruption at the tail of the FINAL segment — the only place
+// matches.
+//
+// Recovery runs on two goroutines. A reader, started by Open and joined
+// before Open returns, walks the segments in order: for each piece it
+// allocates a fresh buffer, reads it with ReadAt, walks the record
+// lengths to the last whole record and verifies every checksum. It
+// hands finished pieces over a channel two deep. Open's own goroutine
+// runs the replay callback over each piece, in log order, one record at
+// a time, so the callback needs no locking of its own. A replay error
+// stops the reader, joins it and aborts Open. The reader never truncates:
+// the torn-tail cut below happens on Open's goroutine once every record
+// before it has been applied. Corruption at the tail of the FINAL segment — the only place
 // a crash mid-append can tear — is recovered, not fatal: the segment is
 // truncated back to the last whole record and appending resumes there.
 // An unreadable header on the final segment (a crash between file
@@ -39,14 +50,31 @@
 // Corruption anywhere earlier is real damage the log cannot silently
 // repair, and Open fails with ErrCorrupt. A compact.tmp left by an
 // interrupted compaction is deleted on open. The fault-injection suite
-// (faultinject_test.go) pins short-write, failed-sync, failed-rotation
-// and off-lock window-sync behaviour.
+// (faultinject_test.go) pins short-write, failed-sync, failed-rotation,
+// failed-snapshot and off-lock window-sync behaviour, and FuzzWALRecover
+// checks that arbitrary segment bytes replay exactly their longest valid
+// record prefix.
 //
-// Compaction (Compact) rewrites live state through a snapshot callback
-// into a fresh base segment, built under a temporary name, fsynced, and
-// atomically renamed before the retired segments are deleted — a crash
-// at any point leaves either the old segments or the complete snapshot,
-// never a half state.
+// # Compaction
+//
+// Compaction cuts the log instead of stopping it. Cut, called with the
+// caller's own state locked, reserves sequence number N+1 for the
+// snapshot, where N is the active segment; the first append after the
+// cut rotates to a segment numbered N+2 or later. The caller copies its
+// live state, releases its locks and writes the snapshot into
+// compact.tmp through the returned Snapshot while appends go on. Install
+// fsyncs compact.tmp, renames it to segment N+1 with the base flag,
+// syncs the directory and deletes only segments up to N. If no append
+// came after the cut, the snapshot becomes the active segment, so an
+// idle compaction leaves one file. Compact is the three steps in one
+// call. A crash before the rename leaves the old segments and the
+// post-cut ones (compact.tmp is deleted on open); a crash after it
+// leaves the base, which supersedes everything below it, and the
+// post-cut segments after it. Either way no state is lost or doubled. A
+// failed snapshot write removes compact.tmp and leaves every segment as
+// it was. A failure after the rename poisons the log, because appends
+// to a segment the new base supersedes would be dropped on the next
+// Open.
 //
 // # Sync policy
 //
@@ -78,10 +106,9 @@
 // boundary and the steady-state append path allocates nothing
 // (TestWALAppendSteadyStateAllocs gates it, like the codec paths).
 // Callers pass an encode func that APPENDS the payload to the slice it
-// is given and returns the extended slice. Compact gathers its snapshot
+// is given and returns the extended slice. A Snapshot gathers its
 // records in a 1 MiB buffer, flushed before the fsync, so a compaction
-// makes one write per MiB rather than one per record while the log is
-// locked.
+// makes one write per MiB rather than one per record.
 //
 // Replay reads each segment into buffers of about Config.SegmentSize
 // that the log never reuses or writes: a sealed segment is one buffer,

@@ -372,3 +372,71 @@ func TestWindowSyncOffLock(t *testing.T) {
 		t.Fatalf("append after a failed window fsync: %v, want the log poisoned", err)
 	}
 }
+
+// TestFaultSnapshotFailsAfterCut: a compaction whose snapshot write
+// fails after appends went on past the cut removes compact.tmp and
+// leaves every segment as it was; the log keeps appending, a later
+// compaction succeeds, and a reopen replays every record in order.
+func TestFaultSnapshotFailsAfterCut(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	ft := &fault{budget: -1}
+	installFault(t, ft)
+	cfg := Config{Sync: SyncNever, SegmentSize: 256}
+	l, _ := collect(t, dir, cfg)
+	var want []string
+	add := func(s string) {
+		t.Helper()
+		if err := l.Append(encStr(s)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, s)
+	}
+	for i := 0; i < 30; i++ {
+		add(fmt.Sprintf("before-cut-%02d", i))
+	}
+	w, err := l.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		add(fmt.Sprintf("after-cut-%02d", i))
+	}
+	before := dirFiles(t, dir)
+	delete(before, "compact"+tmpSuffix)
+	ft.budget = 40 // the snapshot's flush is cut short
+	for i := 0; i < 5; i++ {
+		if err := w.Append(encStr("snapshot-record")); err != nil {
+			t.Fatal(err) // buffered: nothing reaches the file yet
+		}
+	}
+	if err := w.Install(); !errors.Is(err, errInjected) {
+		t.Fatalf("Install with a failed snapshot write: err = %v, want the injected fault", err)
+	}
+	ft.budget = -1
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("the failed compaction changed the segments: %d files before, %d after", len(before), len(after))
+	}
+	add("after-failed-compaction")
+	if err := l.Compact(func(w *Snapshot) error {
+		for _, s := range want {
+			if err := w.Append(encStr(s)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("the compaction after the failed one: %v", err)
+	}
+	if n := l.Segments(); n != 1 {
+		t.Fatalf("Segments() = %d after an idle compaction, want 1", n)
+	}
+	add("after-compaction")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got := collect(t, dir, cfg)
+	defer l2.Close()
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("recovered %q, want %q", got, want)
+	}
+}

@@ -129,11 +129,17 @@ type Log struct {
 	dirty   bool // bytes written since the last fsync began
 
 	// syncing marks a group-commit fsync running without mu held;
-	// syncDone (on mu) is broadcast when it ends. Anything that closes
-	// the active file or must not return before earlier appends are
-	// synced waits it out first (waitSyncLocked).
-	syncing  bool
-	syncDone *sync.Cond
+	// changed (on mu) is broadcast when it ends, and when a compaction
+	// ends. Anything that closes the active file or must not return
+	// before earlier appends are synced waits the fsync out first
+	// (waitSyncLocked).
+	syncing bool
+	changed *sync.Cond
+
+	// snapSeq is the sequence number a compaction in flight reserved
+	// for its snapshot, 0 when none runs. The snapshot replaces every
+	// segment below it; the first append after the cut rotates past it.
+	snapSeq uint32
 
 	syncTimer *clock.Timer
 	syncArmed bool
@@ -148,17 +154,20 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log in dir and replays every
-// whole record into the replay callback in append order. The record
+// whole record into the replay callback in append order. The callback
+// runs on the caller's goroutine, one record at a time, while a reader
+// goroutine reads and checksums the pieces ahead of it. The record
 // slice aliases a read buffer the log never reuses or writes: the
 // callback may retain it, read-only, and must never modify it. A replay
-// error aborts Open.
+// error aborts Open; the reader is stopped and joined before Open
+// returns.
 func Open(dir string, cfg Config, replay func(rec []byte) error) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return nil, fmt.Errorf("wal: create %s: %w", dir, err)
 	}
 	l := &Log{dir: dir, cfg: cfg}
-	l.syncDone = sync.NewCond(&l.mu)
+	l.changed = sync.NewCond(&l.mu)
 	segs, err := l.scanDir()
 	if err != nil {
 		return nil, err
@@ -218,12 +227,8 @@ func Open(dir string, cfg Config, replay func(rec []byte) error) (*Log, error) {
 		}
 	}
 	segs = segs[start:]
-	for i := range segs {
-		size, err := l.replaySegment(segs[i].path, i == len(segs)-1, replay)
-		if err != nil {
-			return nil, err
-		}
-		segs[i].size = size
+	if err := l.replay(segs, replay); err != nil {
+		return nil, err
 	}
 	// Reopen the last segment as the writable tail.
 	last := segs[len(segs)-1]
@@ -304,45 +309,133 @@ func readSegHeader(path string, wantSeq uint32) (byte, error) {
 	return hdr[12], nil
 }
 
-// replaySegment replays one segment's records. It reads the segment into
-// buffers the log never reuses or writes, so replay callbacks may retain
-// the records they are handed. A buffer holds about Config.SegmentSize
-// bytes of whole records: a sealed segment fits in one, and a snapshot
-// base larger than that is read in record-aligned pieces, so a retained
-// record pins no more than its piece. On the final (writable) segment a
-// torn or corrupt tail is truncated away; anywhere else it is
-// ErrCorrupt. Returns the segment's valid size.
-func (l *Log) replaySegment(path string, isLast bool, replay func([]byte) error) (int64, error) {
+// piece is a run of whole, checksummed records that the reader hands
+// to the replaying goroutine. A segment's last piece also carries the
+// segment's valid size.
+type piece struct {
+	seg  int    // index of the segment in Open's list
+	off  int64  // file offset of recs[0]
+	recs []byte // framed records, every one verified
+	end  int64  // > 0 on the segment's last piece: its valid size
+	torn bool   // the segment is cut back to end (the final segment's torn tail)
+	err  error  // the reader failed; replay ends here
+}
+
+// replay runs recovery as two goroutines: a reader that reads each
+// segment into fresh buffers and verifies every record's length and
+// checksum, and the calling goroutine, which runs the callback over the
+// verified pieces in log order and sets each segment's valid size. The
+// reader runs at most two pieces ahead, and is stopped and joined before
+// replay returns, on success and on error alike.
+func (l *Log) replay(segs []scannedSeg, fn func(rec []byte) error) error {
+	pieces := make(chan piece, 2)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer close(pieces)
+		emit := func(p piece) bool {
+			select {
+			case pieces <- p:
+				return p.err == nil
+			case <-stop:
+				return false
+			}
+		}
+		for i := range segs {
+			if !l.readSegment(i, segs[i].path, i == len(segs)-1, emit) {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for p := range pieces {
+		if p.err != nil {
+			return p.err
+		}
+		path := segs[p.seg].path
+		n := int64(0)
+		for b, off := p.recs, p.off; len(b) > 0; n++ {
+			size := recHeaderSize + int(binary.LittleEndian.Uint32(b))
+			if fn != nil {
+				if err := fn(b[recHeaderSize:size:size]); err != nil {
+					l.RecoveredRecords.Add(n)
+					return fmt.Errorf("wal: replay %s at %d: %w", path, off, err)
+				}
+			}
+			b, off = b[size:], off+int64(size)
+		}
+		l.RecoveredRecords.Add(n)
+		if p.end == 0 {
+			continue
+		}
+		segs[p.seg].size = p.end
+		if p.torn {
+			if err := os.Truncate(path, p.end); err != nil {
+				return fmt.Errorf("wal: truncate %s: %w", path, err)
+			}
+			l.TornTruncations.Inc()
+		}
+	}
+	return nil
+}
+
+// readSegment reads segment i into buffers the log never reuses or
+// writes, so replay callbacks may retain the records they are handed. A
+// buffer holds about Config.SegmentSize bytes of whole records (the
+// whole rest of the file when that is under 1.5 times as much): a sealed
+// segment fits in one, and a larger snapshot base is read in
+// record-aligned pieces, so a retained record pins no more than its
+// piece. A record that runs past a piece starts the next one. On the
+// final (writable) segment a bad length, a bad checksum or a short tail
+// ends the segment, and its last piece asks for the file to be cut back
+// there; anywhere else the same damage is ErrCorrupt. emit hands a piece
+// over and reports whether to go on.
+func (l *Log) readSegment(i int, path string, isLast bool, emit func(piece) bool) bool {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("wal: read %s: %w", path, err)
+		return emit(piece{err: fmt.Errorf("wal: read %s: %w", path, err)})
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("wal: read %s: %w", path, err)
+		return emit(piece{err: fmt.Errorf("wal: read %s: %w", path, err)})
 	}
 	size := fi.Size()
-	var buf []byte            // the current piece
+	var buf []byte            // the current piece's buffer
 	base := int64(headerSize) // file offset of buf[0]
+	from := int64(headerSize) // file offset of the first record not yet emitted
 	off := int64(headerSize)  // file offset of the next record
+	tail := func(torn bool) bool {
+		p := piece{seg: i, off: from, recs: buf[from-base : off-base], end: off, torn: torn}
+		if torn && !isLast {
+			p = piece{err: fmt.Errorf("%w: %s at offset %d", ErrCorrupt, path, off)}
+		}
+		return emit(p)
+	}
 	for off < size {
 		rest := buf[off-base:]
 		need := recHeaderSize
 		if len(rest) >= recHeaderSize {
 			n := int(binary.LittleEndian.Uint32(rest[0:4]))
 			if n > l.cfg.MaxRecord {
-				return l.truncateTail(path, off, isLast)
+				return tail(true)
 			}
 			need += n
 		}
 		if need > len(rest) {
 			if base+int64(len(buf)) == size {
-				return l.truncateTail(path, off, isLast)
+				return tail(true)
 			}
-			// The record runs past the current piece (if any): read the
-			// next one from the record's start. Bytes of it the old
-			// piece holds stay unused there.
+			// The record runs past the current piece (if any): hand the
+			// piece over and read the next one from the record's start.
+			// Bytes of it the old piece holds stay unused there.
+			if off > from && !emit(piece{seg: i, off: from, recs: buf[from-base : off-base]}) {
+				return false
+			}
 			left := size - off
 			want := max(l.cfg.SegmentSize, int64(need))
 			if left < want+want/2 {
@@ -350,38 +443,17 @@ func (l *Log) replaySegment(path string, isLast bool, replay func([]byte) error)
 			}
 			buf = make([]byte, want)
 			if _, err := f.ReadAt(buf, off); err != nil {
-				return 0, fmt.Errorf("wal: read %s: %w", path, err)
+				return emit(piece{err: fmt.Errorf("wal: read %s: %w", path, err)})
 			}
-			base = off
+			base, from = off, off
 			continue
 		}
-		payload := rest[recHeaderSize:need:need]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return l.truncateTail(path, off, isLast)
+		if crc32.Checksum(rest[recHeaderSize:need], crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
+			return tail(true)
 		}
-		if replay != nil {
-			if err := replay(payload); err != nil {
-				return 0, fmt.Errorf("wal: replay %s at %d: %w", path, off, err)
-			}
-		}
-		l.RecoveredRecords.Inc()
 		off += int64(need)
 	}
-	return off, nil
-}
-
-// truncateTail recovers a torn tail on the final segment by cutting the
-// file back to the last whole record; on any other segment the damage
-// is unrecoverable.
-func (l *Log) truncateTail(path string, off int64, isLast bool) (int64, error) {
-	if !isLast {
-		return 0, fmt.Errorf("%w: %s at offset %d", ErrCorrupt, path, off)
-	}
-	if err := os.Truncate(path, off); err != nil {
-		return 0, fmt.Errorf("wal: truncate %s: %w", path, err)
-	}
-	l.TornTruncations.Inc()
-	return off, nil
+	return tail(false)
 }
 
 // createSegment makes a fresh segment file (header written and synced)
@@ -448,6 +520,15 @@ func (l *Log) Append(encode func(dst []byte) []byte) error {
 	}
 	if l.err != nil {
 		return l.err
+	}
+	if l.active.seq < l.snapSeq {
+		// A compaction cut the active segment off: start the next one.
+		if err := l.rotateLocked(); err != nil {
+			return err
+		}
+		if l.closed {
+			return ErrClosed
+		}
 	}
 	buf := xmlsoap.GetBuffer()
 	err := l.appendLocked(buf, encode)
@@ -533,9 +614,9 @@ func (l *Log) armSyncLocked() {
 
 // syncWindow is the group-commit timer body. The fsync runs with mu
 // released, so appends keep writing (and re-mark the log dirty for the
-// next window) while the disk flushes; rotation, compaction, Sync and
-// Close wait for it through syncDone. A failed fsync still poisons the
-// log.
+// next window) while the disk flushes; rotation, a compaction's
+// install, Sync and Close wait for it through changed. A failed fsync
+// still poisons the log.
 func (l *Log) syncWindow() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -551,7 +632,7 @@ func (l *Log) syncWindow() {
 	err := f.Sync()
 	l.mu.Lock()
 	l.syncing = false
-	l.syncDone.Broadcast()
+	l.changed.Broadcast()
 	if err != nil {
 		if l.err == nil {
 			l.err = fmt.Errorf("wal: sync %s: %w", path, err)
@@ -565,18 +646,18 @@ func (l *Log) syncWindow() {
 // while it waits, so callers re-check any state they read before.
 func (l *Log) waitSyncLocked() {
 	for l.syncing {
-		l.syncDone.Wait()
+		l.changed.Wait()
 	}
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the
-// next one.
+// next one, numbered past a snapshot in flight.
 func (l *Log) rotateLocked() error {
 	l.waitSyncLocked()
 	switch {
 	case l.err != nil:
 		return l.err
-	case l.closed, l.active.size < l.cfg.SegmentSize:
+	case l.closed, l.active.size < l.cfg.SegmentSize && l.active.seq > l.snapSeq:
 		// While this appender waited, Close synced and sealed the
 		// segment, or another appender rotated it.
 		return nil
@@ -591,7 +672,7 @@ func (l *Log) rotateLocked() error {
 	sealed := l.active
 	sealed.f = nil
 	l.active.f = nil // don't double-close if the next create fails
-	if err := l.createSegment(sealed.seq+1, 0); err != nil {
+	if err := l.createSegment(max(sealed.seq, l.snapSeq)+1, 0); err != nil {
 		l.err = err
 		return err
 	}
@@ -614,13 +695,16 @@ func (l *Log) Sync() error {
 }
 
 // snapshotBuffer sizes the writer that gathers a compaction's records
-// into large writes: Compact runs with the log locked.
+// into large writes.
 const snapshotBuffer = 1 << 20
 
-// Snapshot receives the live state during Compact. Append has the same
-// encode contract as Log.Append.
+// Snapshot writes a compaction's snapshot. Cut returns it, Append fills
+// it and Install puts it in place. It is used by one goroutine, without
+// the log locked.
 type Snapshot struct {
 	l       *Log
+	seq     uint32
+	f       segFile
 	bw      *bufio.Writer
 	path    string
 	size    int64
@@ -628,7 +712,8 @@ type Snapshot struct {
 	err     error
 }
 
-// Append writes one snapshot record.
+// Append writes one snapshot record. It has the same encode contract as
+// Log.Append.
 func (w *Snapshot) Append(encode func(dst []byte) []byte) error {
 	if w.err != nil {
 		return w.err
@@ -652,77 +737,116 @@ func (w *Snapshot) Append(encode func(dst []byte) []byte) error {
 	return w.err
 }
 
-// Compact rewrites live state into a fresh snapshot-base segment and
-// deletes every retired one. The snapshot callback receives a Snapshot
-// writer and must append every record the recovered state needs; it
-// runs with the log locked, so appends from other goroutines wait.
-//
-// Crash safety: the snapshot is built under a temporary name, fsynced,
-// and renamed into place before old segments are removed. Recovery
-// ignores temporaries and replays from the newest base segment, so a
-// crash anywhere in compaction yields either the old state or the
-// complete snapshot.
-func (l *Log) Compact(snapshot func(w *Snapshot) error) error {
+// Cut starts a compaction. It reserves the sequence number after the
+// active segment's for a snapshot base and returns the writer for it;
+// the first append after the cut rotates to a fresh segment numbered
+// past the snapshot, so the snapshot stands for exactly the records
+// before the cut. The caller appends every record the state as of the
+// cut needs, without any lock held, then calls Install; appends go on
+// meanwhile. Install must follow every successful Cut, also after a
+// failed Append: until it runs, the next Cut waits. A compaction
+// already in flight is waited out first.
+func (l *Log) Cut() (*Snapshot, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// The old active file is closed below; no fsync may still run on it.
-	l.waitSyncLocked()
+	for l.snapSeq != 0 && !l.closed {
+		l.changed.Wait()
+	}
 	if l.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if l.err != nil {
-		return l.err
+		return nil, l.err
 	}
-	newSeq := l.active.seq + 1
+	seq := l.active.seq + 1
 	tmpPath := filepath.Join(l.dir, "compact"+tmpSuffix)
 	f, err := openSegFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
-		return fmt.Errorf("wal: create %s: %w", tmpPath, err)
+		return nil, fmt.Errorf("wal: create %s: %w", tmpPath, err)
 	}
 	var hdr [headerSize]byte
 	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], newSeq)
+	binary.LittleEndian.PutUint32(hdr[8:12], seq)
 	hdr[12] = flagBase
-	w := &Snapshot{l: l, bw: bufio.NewWriterSize(f, snapshotBuffer), path: tmpPath, size: headerSize, scratch: xmlsoap.GetBuffer()}
+	w := &Snapshot{l: l, seq: seq, f: f, bw: bufio.NewWriterSize(f, snapshotBuffer), path: tmpPath, size: headerSize, scratch: xmlsoap.GetBuffer()}
 	w.bw.Write(hdr[:]) // into an empty buffer: it cannot fail
-	if err := snapshot(w); err != nil && w.err == nil {
-		w.err = err
-	}
+	l.snapSeq = seq
+	return w, nil
+}
+
+// Install finishes the compaction: it flushes and fsyncs the snapshot,
+// renames it into place as a base segment and deletes every segment
+// before the cut. When no append came after the cut, the snapshot
+// becomes the active segment. If a snapshot append failed, or the log
+// was closed or poisoned meanwhile, Install removes the temporary, leaves
+// the log as it was and returns the error. A failure after the rename
+// poisons the log: appends to a segment the new base supersedes would
+// be lost on the next Open.
+func (w *Snapshot) Install() error {
 	if w.err == nil {
 		if err := w.bw.Flush(); err != nil {
-			w.err = fmt.Errorf("wal: snapshot write %s: %w", tmpPath, err)
+			w.err = fmt.Errorf("wal: snapshot write %s: %w", w.path, err)
 		}
 	}
 	if w.err == nil {
-		if err := f.Sync(); err != nil {
+		if err := w.f.Sync(); err != nil {
 			w.err = fmt.Errorf("wal: snapshot sync: %w", err)
 		}
 	}
 	xmlsoap.PutBuffer(w.scratch)
-	if cerr := f.Close(); cerr != nil && w.err == nil {
+	if cerr := w.f.Close(); cerr != nil && w.err == nil {
 		w.err = fmt.Errorf("wal: snapshot close: %w", cerr)
 	}
+	l := w.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// The active file may be closed below; no fsync may still run on it.
+	l.waitSyncLocked()
+	defer func() {
+		l.snapSeq = 0
+		l.changed.Broadcast()
+	}()
+	switch {
+	case w.err != nil:
+	case l.closed:
+		w.err = ErrClosed
+	case l.err != nil:
+		w.err = l.err
+	}
 	if w.err != nil {
-		os.Remove(tmpPath)
+		os.Remove(w.path)
 		return w.err
 	}
-	newPath := l.segPath(newSeq)
-	if err := os.Rename(tmpPath, newPath); err != nil {
-		os.Remove(tmpPath)
+	newPath := l.segPath(w.seq)
+	if err := os.Rename(w.path, newPath); err != nil {
+		os.Remove(w.path)
 		return fmt.Errorf("wal: install snapshot: %w", err)
 	}
 	if err := syncDir(l.dir); err != nil {
+		l.err = err
 		return err
 	}
-	// The snapshot is durable and discoverable; everything older is
-	// garbage now.
+	// The snapshot is durable and discoverable; every segment before the
+	// cut is garbage now.
+	snap := segment{seq: w.seq, path: newPath, size: w.size}
+	retired := []segment{snap}
+	for _, s := range l.retired {
+		if s.seq < w.seq {
+			os.Remove(s.path)
+		} else {
+			retired = append(retired, s)
+		}
+	}
+	if l.active.seq > w.seq {
+		l.retired = retired
+		l.Compactions.Inc()
+		return nil
+	}
 	old := l.active
+	l.active.f = nil // don't double-close if the reopen fails
 	if err := old.f.Close(); err != nil {
 		l.err = fmt.Errorf("wal: close %s: %w", old.path, err)
 		return l.err
-	}
-	for _, s := range l.retired {
-		os.Remove(s.path)
 	}
 	os.Remove(old.path)
 	l.retired = nil
@@ -731,10 +855,33 @@ func (l *Log) Compact(snapshot func(w *Snapshot) error) error {
 		l.err = fmt.Errorf("wal: reopen snapshot %s: %w", newPath, err)
 		return l.err
 	}
-	l.active = segment{seq: newSeq, path: newPath, size: w.size, f: nf}
+	snap.f = nf
+	l.active = snap
 	l.dirty = false
 	l.Compactions.Inc()
 	return nil
+}
+
+// Compact rewrites live state into a fresh snapshot-base segment and
+// deletes the segments it replaces: Cut, the snapshot callback, Install.
+// The callback receives the Snapshot writer and must append every record
+// the recovered state needs as of the cut; it runs without the log
+// locked.
+//
+// Crash safety: the snapshot is built under a temporary name, fsynced,
+// and renamed into place before old segments are removed. Recovery
+// ignores temporaries and replays from the newest base segment, so a
+// crash anywhere in compaction yields either the old segments or the
+// complete snapshot, each followed by the appends made after the cut.
+func (l *Log) Compact(snapshot func(w *Snapshot) error) error {
+	w, err := l.Cut()
+	if err != nil {
+		return err
+	}
+	if err := snapshot(w); err != nil && w.err == nil {
+		w.err = err
+	}
+	return w.Install()
 }
 
 // Size returns the total bytes across all live segments (headers
