@@ -26,22 +26,13 @@ func main() {
 	host := flag.String("host", "localhost", "externally visible host name for mailbox addresses")
 	port := flag.Int("port", 9200, "service port")
 	boxCap := flag.Int("box-cap", 4096, "messages retained per mailbox")
-	workers := flag.Int("workers", 8, "store worker pool size")
 	storeDir := flag.String("store", "", "durable mailbox directory (WAL-backed; empty keeps mailboxes in memory)")
-	buggy := flag.Bool("buggy", false, "run the §4.3.2 thread-per-message design (for demonstrations)")
 	flag.Parse()
 
-	mode := msgbox.ModeFixed
-	if *buggy {
-		mode = msgbox.ModeBuggy
-		log.Print("WARNING: running the historically buggy thread-per-message design")
-	}
 	cfg := msgbox.Config{
-		Clock:        clock.Wall,
-		BaseURL:      fmt.Sprintf("http://%s:%d", *host, *port),
-		Mode:         mode,
-		BoxCap:       *boxCap,
-		StoreWorkers: *workers,
+		Clock:   clock.Wall,
+		BaseURL: fmt.Sprintf("http://%s:%d", *host, *port),
+		BoxCap:  *boxCap,
 	}
 	if *storeDir != "" {
 		if err := os.MkdirAll(*storeDir, 0o755); err != nil {

@@ -80,20 +80,6 @@ func (c *Map[V]) Put(key string, value V) {
 	s.mu.Unlock()
 }
 
-// PutIfAbsent stores value under key only if the key is not already
-// present. It returns the value that is in the map after the call and
-// whether the store happened.
-func (c *Map[V]) PutIfAbsent(key string, value V) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.m[key]; ok {
-		return existing, false
-	}
-	s.m[key] = value
-	return value, true
-}
-
 // GetAndDelete atomically removes key and returns the value it held.
 // Exactly one of any number of concurrent claimants observes ok ==
 // true; everyone else gets the zero value. This is the one-lock claim
@@ -189,14 +175,4 @@ func (c *Map[V]) Keys() []string {
 		return true
 	})
 	return keys
-}
-
-// Clear removes all entries.
-func (c *Map[V]) Clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[string]V)
-		s.mu.Unlock()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -29,16 +30,6 @@ func TestPutReplaces(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-}
-
-func TestPutIfAbsent(t *testing.T) {
-	m := New[int]()
-	if v, stored := m.PutIfAbsent("k", 1); !stored || v != 1 {
-		t.Fatalf("first PutIfAbsent = %d, %v", v, stored)
-	}
-	if v, stored := m.PutIfAbsent("k", 2); stored || v != 1 {
-		t.Fatalf("second PutIfAbsent = %d, %v; want 1, false", v, stored)
 	}
 }
 
@@ -133,17 +124,6 @@ func TestKeysSnapshot(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	m := New[int]()
-	for i := 0; i < 10; i++ {
-		m.Put(fmt.Sprintf("k%d", i), i)
-	}
-	m.Clear()
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after Clear", m.Len())
-	}
-}
-
 func TestConcurrentCounters(t *testing.T) {
 	m := New[int]()
 	const workers, perWorker = 16, 200
@@ -163,32 +143,6 @@ func TestConcurrentCounters(t *testing.T) {
 	m.Range(func(_ string, v int) bool { total += v; return true })
 	if total != workers*perWorker {
 		t.Fatalf("total = %d, want %d", total, workers*perWorker)
-	}
-}
-
-func TestConcurrentPutIfAbsentSingleWinner(t *testing.T) {
-	m := New[int]()
-	const workers = 32
-	var wg sync.WaitGroup
-	wins := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, stored := m.PutIfAbsent("once", w); stored {
-				wins <- w
-			}
-		}()
-	}
-	wg.Wait()
-	close(wins)
-	count := 0
-	for range wins {
-		count++
-	}
-	if count != 1 {
-		t.Fatalf("%d winners for PutIfAbsent, want exactly 1", count)
 	}
 }
 
@@ -310,5 +264,33 @@ func TestQuickMatchesPlainMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentGetOrComputeSingleWinner checks that racing callers on
+// one absent key run f exactly once and all see the winner's value.
+func TestConcurrentGetOrComputeSingleWinner(t *testing.T) {
+	m := New[int]()
+	const workers = 32
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	got := make(chan int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got <- m.GetOrCompute("once", func() int { calls.Add(1); return w })
+		}()
+	}
+	wg.Wait()
+	close(got)
+	if calls.Load() != 1 {
+		t.Fatalf("f ran %d times, want exactly 1", calls.Load())
+	}
+	winner, _ := m.Get("once")
+	for v := range got {
+		if v != winner {
+			t.Fatalf("a caller saw %d, want the stored %d", v, winner)
+		}
 	}
 }

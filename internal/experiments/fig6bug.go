@@ -12,7 +12,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/msgbox"
 	"repro/internal/netsim"
-	"repro/internal/pool"
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/stats"
@@ -59,8 +58,8 @@ func (o Fig6BugOptions) withDefaults() Fig6BugOptions {
 	return o
 }
 
-// Fig6BugRow compares the buggy (thread-per-message) and fixed
-// (bounded-pool) WS-MsgBox under the same load.
+// Fig6BugRow compares the buggy (thread-per-message) and fixed (the
+// shipping, park-before-202) WS-MsgBox under the same load.
 type Fig6BugRow struct {
 	Clients int
 	// Buggy / Fixed are the client-side send reports.
@@ -82,10 +81,11 @@ func RunFig6Bug(opt Fig6BugOptions) []Fig6BugRow {
 	for _, n := range opt.Clients {
 		row := Fig6BugRow{Clients: n}
 		var buggySvc, fixedSvc *msgbox.Service
-		row.Buggy, buggySvc = runFig6BugPoint(opt, n, msgbox.ModeBuggy)
-		row.Fixed, fixedSvc = runFig6BugPoint(opt, n, msgbox.ModeFixed)
-		row.BuggyOOMs = buggySvc.OOMEvents.Value()
-		row.BuggyPeakThreads = buggySvc.LiveThreads.Peak()
+		var threads *ledger
+		row.Buggy, buggySvc, threads = runFig6BugPoint(opt, n, true)
+		row.Fixed, fixedSvc, _ = runFig6BugPoint(opt, n, false)
+		row.BuggyOOMs = int64(threads.OOMEvents())
+		row.BuggyPeakThreads = int64(threads.Peak())
 		row.BuggyStored = buggySvc.Stored.Value()
 		row.FixedStored = fixedSvc.Stored.Value()
 		rows = append(rows, row)
@@ -93,10 +93,11 @@ func RunFig6Bug(opt Fig6BugOptions) []Fig6BugRow {
 	return rows
 }
 
-// runFig6BugPoint drives the MSG-D + MsgBox topology of Figure 6 with the
-// mailbox in the given mode and returns the client report plus the
-// mailbox service for its counters.
-func runFig6BugPoint(opt Fig6BugOptions, clients int, mode msgbox.Mode) (stats.RunReport, *msgbox.Service) {
+// runFig6BugPoint drives the MSG-D + MsgBox topology of Figure 6, with
+// the mailbox behind the thread-per-message front when buggy, and returns
+// the client report, the mailbox service for its counters and the
+// buggy front's thread ledger (nil when fixed).
+func runFig6BugPoint(opt Fig6BugOptions, clients int, buggy bool) (stats.RunReport, *msgbox.Service, *ledger) {
 	tb := newTestbed(opt.Seed, fineCoalesce)
 	defer tb.Close()
 
@@ -116,22 +117,13 @@ func runFig6BugPoint(opt Fig6BugOptions, clients int, mode msgbox.Mode) (stats.R
 	tb.onClose(func() { srvWS.Close() })
 
 	wsdHost := tb.nw.AddHost("wsd", profileSite(), netsim.WithMaxConns(4096))
-	ledger := pool.NewLedger(pool.DefaultStackBytes,
-		int64(opt.ThreadBudget)*pool.DefaultStackBytes)
 	wsd, err := core.New(core.Config{
-		Clock:      tb.clk,
-		HostName:   "wsd",
-		Listen:     func(port int) (net.Listener, error) { return wsdHost.Listen(port) },
-		Dialer:     wsdHost,
-		MsgPort:    9100,
-		MsgBoxPort: 9200,
-		Policy:     registry.PolicyFirst,
-		MsgBox: msgbox.Config{
-			Mode:         mode,
-			Ledger:       ledger,
-			ThreadLinger: opt.ThreadLinger,
-			BoxCap:       1 << 20,
-		},
+		Clock:    tb.clk,
+		HostName: "wsd",
+		Listen:   func(port int) (net.Listener, error) { return wsdHost.Listen(port) },
+		Dialer:   wsdHost,
+		MsgPort:  9100,
+		Policy:   registry.PolicyFirst,
 	})
 	if err != nil {
 		panic(err)
@@ -141,6 +133,27 @@ func runFig6BugPoint(opt Fig6BugOptions, clients int, mode msgbox.Mode) (stats.R
 		panic(err)
 	}
 	tb.onClose(wsd.Stop)
+
+	// The co-located mailbox, served here rather than by core so the
+	// buggy point can put its thread-per-message front before it.
+	mbox := msgbox.New(msgbox.Config{Clock: tb.clk, BaseURL: "http://wsd:9200", BoxCap: 1 << 20})
+	if err := mbox.Start(); err != nil {
+		panic(err)
+	}
+	tb.onClose(mbox.Stop)
+	var h httpx.Handler = mbox
+	var threads *ledger
+	if buggy {
+		threads = newLedger(opt.ThreadBudget)
+		h = threadPerMessage(mbox, threads, tb.clk, opt.ThreadLinger)
+	}
+	lnMbox, err := wsdHost.Listen(9200)
+	if err != nil {
+		panic(err)
+	}
+	srvMbox := httpx.NewServer(h, httpx.ServerConfig{Clock: tb.clk})
+	srvMbox.Start(lnMbox)
+	tb.onClose(func() { srvMbox.Close() })
 
 	adminClient := httpx.NewClient(cliHost, httpx.ClientConfig{Clock: tb.clk})
 	replyAddrs := make([]string, clients)
@@ -162,7 +175,7 @@ func runFig6BugPoint(opt Fig6BugOptions, clients int, mode msgbox.Mode) (stats.R
 		Clients:   clients,
 		ThinkTime: 500 * time.Millisecond,
 		Duration:  opt.Duration,
-		Series:    fmt.Sprintf("msgbox-%v", mode == msgbox.ModeBuggy),
+		Series:    fmt.Sprintf("msgbox-%v", buggy),
 	}, func(clientID, seq int) error {
 		env := soap.New(soap.V11).SetBody(
 			xmlsoap.NewText(echoservice.EchoNS, "echo", "bug-probe"))
@@ -192,7 +205,7 @@ func runFig6BugPoint(opt Fig6BugOptions, clients int, mode msgbox.Mode) (stats.R
 		}
 		return nil
 	})
-	return report, wsd.MsgBox
+	return report, mbox, threads
 }
 
 // FormatFig6Bug renders the sweep.

@@ -246,7 +246,7 @@ func TestLongPollWaitParam(t *testing.T) {
 // Virtual clock: without a wait an empty take answers in one round trip;
 // with one it answers count=0 once the wait has run out.
 func TestLongPollOverRPC(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	id, token, _ := r.create(t)
 	take := func(wait string) (count string, took time.Duration) {
 		t.Helper()

@@ -4,16 +4,16 @@
 // and later download accumulated messages over plain RPC — which "is
 // typically well supported from a client behind firewalls".
 //
-// Two delivery-processing modes are provided:
-//
-//   - ModeFixed: incoming messages are stored by a small bounded worker
-//     pool (the redesign the paper says it is working on);
-//   - ModeBuggy: the original design the paper's scalability test
-//     exposed — "WS-MsgBox server creates a new thread for each message
-//     and each thread tries to send a reply message. Possibly thousands of
-//     threads are created ... That leads to OutOfMemoryExceptions as each
-//     thread has local stack allocated in memory." The pool.Ledger models
-//     the JVM stack budget so the failure cliff reproduces safely.
+// Delivery (Figure 2 step 2) parks the message on the connection that
+// carried it, before the reply: 202 Accepted means the message is parked
+// (and, with a store, logged), so the very next take returns it.
+// Deliveries on one connection are parked in the order they arrive. A
+// delivery the service cannot park is answered with a SOAP fault, never
+// 202: 404 for an unknown box, 503 for a full or released box or a store
+// that refuses the record. No thread or goroutine is started per
+// message; the paper's original thread-per-message design (§4.3.2), whose
+// stacks ran the JVM out of memory, is reproduced only by the Figure 6
+// experiment (internal/experiments), in front of this service.
 //
 // Security (paper future work §4.4): "currently the message box has unique
 // hard to guess address but that is the only protection". Here mailbox IDs
@@ -72,6 +72,7 @@ package msgbox
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -81,7 +82,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cmap"
 	"repro/internal/httpx"
-	"repro/internal/pool"
 	"repro/internal/queue"
 	"repro/internal/soap"
 	"repro/internal/stats"
@@ -115,37 +115,13 @@ const (
 // in the package doc).
 const MaxTakeWait = 10 * time.Second
 
-// Mode selects the delivery-processing design.
-type Mode int
-
-const (
-	// ModeFixed stores messages via a bounded worker pool.
-	ModeFixed Mode = iota
-	// ModeBuggy spawns a ledger-accounted thread per message,
-	// reproducing §4.3.2's OutOfMemoryError beyond ~50 busy clients.
-	ModeBuggy
-)
-
 // Config tunes the service.
 type Config struct {
-	// Clock drives timestamps and the buggy mode's thread lifetime.
+	// Clock drives timestamps and take waits.
 	Clock clock.Clock
 	// BaseURL is this service's externally visible address, used to
 	// mint mailbox addresses, e.g. "http://postoffice:9200".
 	BaseURL string
-	// Mode selects fixed vs buggy processing.
-	Mode Mode
-	// Ledger models the thread-stack budget (buggy mode). Defaults to
-	// a 2004-JVM-like ledger.
-	Ledger *pool.Ledger
-	// ThreadLinger is how long each buggy-mode thread lives after
-	// storing its message ("trying to send a reply message" over the
-	// slow path). Default 2s.
-	ThreadLinger time.Duration
-	// StoreWorkers sizes the fixed-mode pool. Default 8.
-	StoreWorkers int
-	// StoreBacklog bounds fixed-mode queued stores. Default 1024.
-	StoreBacklog int
 	// BoxCap bounds messages retained per mailbox. Default 4096.
 	BoxCap int
 	// PathPrefix is the HTTP mount point. Default "/mbox".
@@ -160,18 +136,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.Wall
-	}
-	if c.Ledger == nil {
-		c.Ledger = pool.NewLedger(0, 0)
-	}
-	if c.ThreadLinger <= 0 {
-		c.ThreadLinger = 2 * time.Second
-	}
-	if c.StoreWorkers <= 0 {
-		c.StoreWorkers = 8
-	}
-	if c.StoreBacklog <= 0 {
-		c.StoreBacklog = 1024
 	}
 	if c.BoxCap <= 0 {
 		c.BoxCap = 4096
@@ -236,39 +200,24 @@ type boxMsg struct {
 type Service struct {
 	cfg   Config
 	boxes *cmap.Map[*Mailbox]
-	store *pool.Pool // fixed mode
 
 	// Counters for the evaluation harness.
 	Created       stats.Counter
 	Destroyed     stats.Counter
 	Stored        stats.Counter
-	StoreFailures stats.Counter // full boxes, unknown boxes
-	OOMEvents     stats.Counter // buggy-mode thread creation failures
+	StoreFailures stats.Counter // refused deliveries: unknown or full boxes, store refusals
 	Taken         stats.Counter
 	AuthFailures  stats.Counter
-	// LiveThreads tracks buggy-mode threads (peak shows the explosion).
-	LiveThreads stats.Gauge
 }
 
 // New builds the service. Call Start before serving, Stop when done.
 func New(cfg Config) *Service {
-	cfg = cfg.withDefaults()
-	s := &Service{cfg: cfg, boxes: cmap.New[*Mailbox]()}
-	if cfg.Mode == ModeFixed {
-		s.store = pool.New(pool.Config{Core: cfg.StoreWorkers, Backlog: cfg.StoreBacklog})
-	}
-	return s
+	return &Service{cfg: cfg.withDefaults(), boxes: cmap.New[*Mailbox]()}
 }
 
-// Start launches the fixed-mode store pool and, for store-backed
-// services, reloads every persisted mailbox and its parked messages
-// (crash/restart recovery).
+// Start reloads, for store-backed services, every persisted mailbox and
+// its parked messages (crash/restart recovery).
 func (s *Service) Start() error {
-	if s.store != nil {
-		if err := s.store.Start(); err != nil {
-			return err
-		}
-	}
 	st := s.cfg.Store
 	if st == nil {
 		return nil
@@ -299,11 +248,8 @@ func (s *Service) Start() error {
 	return nil
 }
 
-// Stop drains workers and closes all mailboxes.
+// Stop closes all mailboxes.
 func (s *Service) Stop() {
-	if s.store != nil {
-		s.store.Stop()
-	}
 	s.boxes.Range(func(_ string, mb *Mailbox) bool {
 		releaseBox(mb)
 		return true
@@ -347,7 +293,8 @@ func (s *Service) Serve(ex *httpx.Exchange) {
 
 // --- delivery path (step 2 in Figure 2) ---
 
-// serveDeliver stores one incoming message into the addressed mailbox.
+// serveDeliver parks one incoming message in the addressed mailbox and
+// answers 202 only once it is parked.
 func (s *Service) serveDeliver(boxID string, ex *httpx.Exchange) {
 	mb, ok := s.boxes.Get(boxID)
 	if !ok {
@@ -360,59 +307,28 @@ func (s *Service) serveDeliver(boxID string, ex *httpx.Exchange) {
 	// once, into the immutable slice the box and the store share.
 	payload := make([]byte, len(ex.Req.Body))
 	copy(payload, ex.Req.Body)
-
-	switch s.cfg.Mode {
-	case ModeBuggy:
-		s.deliverBuggy(mb, payload, ex)
-	default:
-		s.deliverFixed(mb, payload, ex)
-	}
-}
-
-// deliverFixed hands the store to the bounded pool: the redesign.
-func (s *Service) deliverFixed(mb *Mailbox, payload []byte, ex *httpx.Exchange) {
-	err := s.store.TrySubmit(func() { s.storeMessage(mb, payload) })
-	if err != nil {
+	if err := s.storeMessage(mb, payload); err != nil {
 		s.StoreFailures.Inc()
-		soap.ReplyFault(ex, httpx.StatusServiceUnavailable, soap.FaultServer, "mailbox store overloaded")
+		soap.ReplyFault(ex, httpx.StatusServiceUnavailable, soap.FaultServer, err.Error())
 		return
 	}
 	ex.ReplyBytes(httpx.StatusAccepted, nil)
 }
 
-// deliverBuggy reproduces the paper's original design: one thread per
-// message, each lingering while it "tries to send a reply message". The
-// thread stack is charged to the ledger; exhaustion is the
-// OutOfMemoryError of §4.3.2.
-func (s *Service) deliverBuggy(mb *Mailbox, payload []byte, ex *httpx.Exchange) {
-	if err := s.cfg.Ledger.SpawnThread(); err != nil {
-		s.OOMEvents.Inc()
-		s.StoreFailures.Inc()
-		soap.ReplyFault(ex, httpx.StatusInternalServerError, soap.FaultServer,
-			"OutOfMemoryError: unable to create new native thread")
-		return
-	}
-	s.LiveThreads.Add(1)
-	go func() {
-		defer func() {
-			s.LiveThreads.Add(-1)
-			s.cfg.Ledger.ReleaseThread()
-		}()
-		s.storeMessage(mb, payload)
-		// The thread lives on, attempting its reply notification.
-		s.cfg.Clock.Sleep(s.cfg.ThreadLinger)
-	}()
-	ex.ReplyBytes(httpx.StatusAccepted, nil)
-}
+// Refusals of a delivery the box cannot hold.
+var (
+	errBoxFull   = errors.New("mailbox full")
+	errBoxClosed = errors.New("mailbox closed")
+)
 
 // storeMessage parks payload in mb, handing the slice to the store
 // first when the service is store-backed.
-func (s *Service) storeMessage(mb *Mailbox, payload []byte) {
+func (s *Service) storeMessage(mb *Mailbox, payload []byte) error {
 	var sid string
 	if st := s.cfg.Store; st != nil {
 		// Write-ahead: the record is durable (per the WAL sync policy)
 		// before the message becomes visible in the box. A store refusal
-		// refuses the delivery — accepting a message durability was
+		// refuses the delivery: accepting a message durability was
 		// promised for but not delivered would be lying to the sender.
 		sid = wsa.NewMessageID()
 		if err := st.Put(&store.Message{
@@ -420,19 +336,21 @@ func (s *Service) storeMessage(mb *Mailbox, payload []byte) {
 			Destination: msgDest(mb.ID),
 			Payload:     payload,
 		}); err != nil {
-			s.StoreFailures.Inc()
-			return
+			return fmt.Errorf("mailbox store refused the message: %w", err)
 		}
 	}
 	if err := mb.msgs.TryPut(boxMsg{payload: payload, sid: sid}); err != nil {
 		if sid != "" {
 			s.cfg.Store.Delete(sid)
 		}
-		s.StoreFailures.Inc()
-		return
+		if err == queue.ErrFull {
+			return errBoxFull
+		}
+		return errBoxClosed
 	}
 	mb.wakeTakers()
 	s.Stored.Inc()
+	return nil
 }
 
 // --- management RPC path (steps 1, 3, 4 in Figure 2) ---

@@ -2,6 +2,7 @@ package msgbox
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/httpx"
 	"repro/internal/netsim"
-	"repro/internal/pool"
 	"repro/internal/soap"
 	"repro/internal/xmlsoap"
 )
@@ -117,8 +117,32 @@ func (r *rig) deliver(t *testing.T, id, text string) *httpx.Response {
 	return resp
 }
 
+// takeTexts takes up to max messages from a box and returns the body
+// text of each, in the order the take returned them.
+func (r *rig) takeTexts(t *testing.T, id, token string, max int) []string {
+	t.Helper()
+	results, resp := r.rpc(t, OpTake,
+		soap.Param{Name: "boxId", Value: id},
+		soap.Param{Name: "token", Value: token},
+		soap.Param{Name: "max", Value: fmt.Sprint(max)})
+	if results == nil {
+		t.Fatalf("take failed: %d %s", resp.Status, resp.Body)
+	}
+	var got []string
+	for _, p := range results {
+		if strings.HasPrefix(p.Name, "msg") {
+			env, err := soap.Parse([]byte(p.Value))
+			if err != nil {
+				t.Fatalf("stored message unparseable: %v", err)
+			}
+			got = append(got, env.BodyElement().Text)
+		}
+	}
+	return got
+}
+
 func TestCreateDeliverTakeDestroy(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	id, token, address := r.create(t)
 	if id == "" || token == "" || !strings.HasSuffix(address, "/mbox/"+id) {
 		t.Fatalf("create = %q %q %q", id, token, address)
@@ -132,22 +156,8 @@ func TestCreateDeliverTakeDestroy(t *testing.T) {
 			t.Fatalf("deliver status = %d", resp.Status)
 		}
 	}
-	waitFor(t, func() bool { return r.svc.Stored.Value() == 3 })
-
-	results, _ := r.rpc(t, OpTake,
-		soap.Param{Name: "boxId", Value: id},
-		soap.Param{Name: "token", Value: token},
-		soap.Param{Name: "max", Value: "10"})
-	var got []string
-	for _, p := range results {
-		if strings.HasPrefix(p.Name, "msg") {
-			env, err := soap.Parse([]byte(p.Value))
-			if err != nil {
-				t.Fatalf("stored message unparseable: %v", err)
-			}
-			got = append(got, env.BodyElement().Text)
-		}
-	}
+	// 202 means parked: the very next take returns all three.
+	got := r.takeTexts(t, id, token, 10)
 	if len(got) != 3 || got[0] != "msg-0" || got[2] != "msg-2" {
 		t.Fatalf("taken = %v", got)
 	}
@@ -163,7 +173,7 @@ func TestCreateDeliverTakeDestroy(t *testing.T) {
 }
 
 func TestTakeRequiresToken(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	id, _, _ := r.create(t)
 	_, resp := r.rpc(t, OpTake,
 		soap.Param{Name: "boxId", Value: id},
@@ -177,11 +187,10 @@ func TestTakeRequiresToken(t *testing.T) {
 }
 
 func TestPeekCount(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	id, token, _ := r.create(t)
 	r.deliver(t, id, "a")
 	r.deliver(t, id, "b")
-	waitFor(t, func() bool { return r.svc.Stored.Value() == 2 })
 	results, _ := r.rpc(t, OpPeek,
 		soap.Param{Name: "boxId", Value: id},
 		soap.Param{Name: "token", Value: token})
@@ -191,7 +200,7 @@ func TestPeekCount(t *testing.T) {
 }
 
 func TestDeliverToUnknownBox404(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	resp := r.deliver(t, "deadbeef", "x")
 	if resp.Status != httpx.StatusNotFound {
 		t.Fatalf("status = %d", resp.Status)
@@ -199,7 +208,7 @@ func TestDeliverToUnknownBox404(t *testing.T) {
 }
 
 func TestUnknownOperationFaults(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	_, resp := r.rpc(t, "frobnicate")
 	if resp.Status != httpx.StatusBadRequest {
 		t.Fatalf("status = %d", resp.Status)
@@ -207,7 +216,7 @@ func TestUnknownOperationFaults(t *testing.T) {
 }
 
 func TestWrongNamespaceRejected(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	body, _ := soap.RPCRequest(soap.V11, "urn:other", OpCreate).Marshal()
 	resp, err := r.client.Do("po:9200", httpx.NewRequest("POST", "/mbox", body))
 	if err != nil {
@@ -219,12 +228,18 @@ func TestWrongNamespaceRejected(t *testing.T) {
 }
 
 func TestBoxCapDropsOverflow(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed, BoxCap: 2})
+	r := newRig(t, Config{BoxCap: 2})
 	id, token, _ := r.create(t)
 	for i := 0; i < 5; i++ {
-		r.deliver(t, id, fmt.Sprintf("m%d", i))
+		want := httpx.StatusAccepted
+		if i >= 2 {
+			want = httpx.StatusServiceUnavailable
+		}
+		if resp := r.deliver(t, id, fmt.Sprintf("m%d", i)); resp.Status != want {
+			t.Fatalf("deliver %d status = %d, want %d", i, resp.Status, want)
+		}
 	}
-	waitFor(t, func() bool { return r.svc.Stored.Value()+r.svc.StoreFailures.Value() >= 5 })
+	// The replies imply the outcome: no wait for a background store.
 	if r.svc.Stored.Value() != 2 {
 		t.Fatalf("Stored = %d, want 2 (cap)", r.svc.Stored.Value())
 	}
@@ -239,58 +254,150 @@ func TestBoxCapDropsOverflow(t *testing.T) {
 	}
 }
 
-func TestBuggyModeExplodesThreads(t *testing.T) {
-	// Budget for only 8 concurrent "threads"; each lingers 10s while the
-	// deliveries arrive back-to-back — §4.3.2's OutOfMemoryError.
-	ledger := pool.NewLedger(1024, 8*1024)
-	r := newRig(t, Config{
-		Mode:         ModeBuggy,
-		Ledger:       ledger,
-		ThreadLinger: 10 * time.Second,
-	})
-	id, _, _ := r.create(t)
+// TestBoxCapFreedByTake checks that a full box refuses only while it is
+// full: once a take empties it, the next deposit is parked again.
+func TestBoxCapFreedByTake(t *testing.T) {
+	r := newRig(t, Config{BoxCap: 1})
+	id, token, _ := r.create(t)
+	if resp := r.deliver(t, id, "first"); resp.Status != httpx.StatusAccepted {
+		t.Fatalf("deliver to empty box: status = %d", resp.Status)
+	}
+	if resp := r.deliver(t, id, "over"); resp.Status != httpx.StatusServiceUnavailable {
+		t.Fatalf("deliver to full box: status = %d, want 503", resp.Status)
+	}
+	if got := r.takeTexts(t, id, token, 10); len(got) != 1 || got[0] != "first" {
+		t.Fatalf("taken = %v, want [first]", got)
+	}
+	if resp := r.deliver(t, id, "second"); resp.Status != httpx.StatusAccepted {
+		t.Fatalf("deliver after take: status = %d, want 202", resp.Status)
+	}
+	if got := r.takeTexts(t, id, token, 10); len(got) != 1 || got[0] != "second" {
+		t.Fatalf("taken = %v, want [second]", got)
+	}
+}
 
-	var oomSeen bool
-	for i := 0; i < 20; i++ {
-		resp := r.deliver(t, id, fmt.Sprintf("m%d", i))
-		if resp.Status == httpx.StatusInternalServerError {
-			oomSeen = true
-			env, _ := soap.Parse(resp.Body)
-			if f, ok := soap.AsFault(env); !ok || !strings.Contains(f.Reason, "OutOfMemoryError") {
-				t.Fatalf("fault = %+v", f)
+// TestFullBoxFaultsDeposit checks that a full box's refusal reaches the
+// sender as a SOAP fault naming the cause, not as a bare status.
+func TestFullBoxFaultsDeposit(t *testing.T) {
+	r := newRig(t, Config{BoxCap: 1})
+	id, _, _ := r.create(t)
+	r.deliver(t, id, "kept")
+	resp := r.deliver(t, id, "refused")
+	if resp.Status != httpx.StatusServiceUnavailable {
+		t.Fatalf("deliver to full box: status = %d, want 503", resp.Status)
+	}
+	env, _ := soap.Parse(resp.Body)
+	if f, ok := soap.AsFault(env); !ok || f.Code != soap.FaultServer || !strings.Contains(f.Reason, "mailbox full") {
+		t.Fatalf("fault = %+v", f)
+	}
+}
+
+// TestStoreRefusalFaultsDeposit checks that a deposit the backing store
+// refuses reaches its sender as a fault, never as 202, and is not
+// parked.
+func TestStoreRefusalFaultsDeposit(t *testing.T) {
+	st := openDurable(t, filepath.Join(t.TempDir(), "mbox"))
+	t.Cleanup(func() { st.Close() })
+	r := newRig(t, Config{Store: st})
+	id, token, _ := r.create(t)
+	if resp := r.deliver(t, id, "kept"); resp.Status != httpx.StatusAccepted {
+		t.Fatalf("deliver before the log dies: status = %d", resp.Status)
+	}
+	st.WAL().Close() // the log dies under the store: every Put now fails
+	resp := r.deliver(t, id, "refused")
+	if resp.Status != httpx.StatusServiceUnavailable {
+		t.Fatalf("deliver after the log died: status = %d, want 503", resp.Status)
+	}
+	env, _ := soap.Parse(resp.Body)
+	if f, ok := soap.AsFault(env); !ok || !strings.Contains(f.Reason, "store refused") {
+		t.Fatalf("fault = %+v", f)
+	}
+	if r.svc.Stored.Value() != 1 || r.svc.StoreFailures.Value() != 1 {
+		t.Fatalf("Stored = %d, StoreFailures = %d; want 1, 1", r.svc.Stored.Value(), r.svc.StoreFailures.Value())
+	}
+	if got := r.takeTexts(t, id, token, 10); len(got) != 1 || got[0] != "kept" {
+		t.Fatalf("taken = %v, want [kept]", got)
+	}
+}
+
+// TestPipelinedDepositsKeepArrivalOrder pipelines deposits to one box
+// over one connection, with a take right behind them in the same burst:
+// that take returns every deposit, in send order.
+func TestPipelinedDepositsKeepArrivalOrder(t *testing.T) {
+	r := newRig(t, Config{})
+	id, token, _ := r.create(t)
+	const n = 64
+	reqs := make([]*httpx.Request, n+1)
+	for i := 0; i < n; i++ {
+		raw, _ := soap.New(soap.V11).SetBody(xmlsoap.NewText("urn:x", "stored", fmt.Sprint(i))).Marshal()
+		reqs[i] = httpx.NewRequest("POST", "/mbox/"+id, raw)
+	}
+	take, _ := soap.RPCRequest(soap.V11, ServiceNS, OpTake,
+		soap.Param{Name: "boxId", Value: id},
+		soap.Param{Name: "token", Value: token},
+		soap.Param{Name: "max", Value: fmt.Sprint(n)}).Marshal()
+	reqs[n] = httpx.NewRequest("POST", "/mbox", take)
+	s := r.client.Stream("po:9200")
+	defer s.Close()
+	var got []string
+	done, err := s.DoBatch(reqs, 10*time.Second, func(i int, resp *httpx.Response) {
+		if i < n {
+			if resp.Status != httpx.StatusAccepted {
+				t.Errorf("deposit %d status = %d", i, resp.Status)
 			}
-			break
+			return
 		}
+		env, err := soap.Parse(resp.Body)
+		if err != nil {
+			t.Errorf("take response: %v", err)
+			return
+		}
+		results, err := soap.ParseRPCResponse(env, OpTake)
+		if err != nil {
+			t.Errorf("take response: %v", err)
+			return
+		}
+		for _, p := range results {
+			if strings.HasPrefix(p.Name, "msg") {
+				msg, err := soap.Parse([]byte(p.Value))
+				if err != nil {
+					t.Errorf("taken message unparseable: %v", err)
+					return
+				}
+				got = append(got, strings.Clone(msg.BodyElement().Text))
+			}
+		}
+	})
+	if err != nil || done != n+1 {
+		t.Fatalf("DoBatch = (%d, %v), want (%d, nil)", done, err, n+1)
 	}
-	if !oomSeen {
-		t.Fatal("buggy mode never hit OutOfMemoryError")
+	if len(got) != n {
+		t.Fatalf("the take behind the deposits got %d messages, want %d", len(got), n)
 	}
-	if r.svc.OOMEvents.Value() == 0 {
-		t.Fatal("OOM not counted")
-	}
-	if peak := r.svc.LiveThreads.Peak(); peak != 8 {
-		t.Fatalf("peak threads = %d, want ledger capacity 8", peak)
+	for i, text := range got {
+		if text != fmt.Sprint(i) {
+			t.Fatalf("message %d = %q, want %d: arrival order broken (%v)", i, text, i, got)
+		}
 	}
 }
 
 func TestFixedModeSurvivesSameBurst(t *testing.T) {
-	// Identical burst, fixed design: everything is stored, no OOM.
-	ledger := pool.NewLedger(1024, 8*1024)
-	r := newRig(t, Config{Mode: ModeFixed, Ledger: ledger})
+	// The burst that runs the thread-per-message design out of memory
+	// (internal/experiments) is parked whole, each message before its 202.
+	r := newRig(t, Config{})
 	id, _, _ := r.create(t)
 	for i := 0; i < 20; i++ {
 		if resp := r.deliver(t, id, fmt.Sprintf("m%d", i)); resp.Status != httpx.StatusAccepted {
 			t.Fatalf("deliver %d status = %d", i, resp.Status)
 		}
 	}
-	waitFor(t, func() bool { return r.svc.Stored.Value() == 20 })
-	if r.svc.OOMEvents.Value() != 0 {
-		t.Fatalf("OOMEvents = %d", r.svc.OOMEvents.Value())
+	if got := r.svc.Stored.Value(); got != 20 {
+		t.Fatalf("Stored = %d, want 20", got)
 	}
 }
 
 func TestConcurrentDeliveries(t *testing.T) {
-	r := newRig(t, Config{Mode: ModeFixed})
+	r := newRig(t, Config{})
 	id, token, _ := r.create(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -300,28 +407,23 @@ func TestConcurrentDeliveries(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				env := soap.New(soap.V11).SetBody(xmlsoap.NewText("urn:x", "m", fmt.Sprintf("%d-%d", g, i)))
 				raw, _ := env.Marshal()
-				r.client.Do("po:9200", httpx.NewRequest("POST", "/mbox/"+id, raw))
+				resp, err := r.client.Do("po:9200", httpx.NewRequest("POST", "/mbox/"+id, raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.Status != httpx.StatusAccepted {
+					t.Errorf("deliver %d-%d status = %d", g, i, resp.Status)
+				}
+				resp.Release()
 			}
 		}(g)
 	}
 	wg.Wait()
-	waitFor(t, func() bool { return r.svc.Stored.Value() == 80 })
 	results, _ := r.rpc(t, OpPeek,
 		soap.Param{Name: "boxId", Value: id},
 		soap.Param{Name: "token", Value: token})
 	if results[0].Value != "80" {
 		t.Fatalf("peek = %v", results)
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached")
 }

@@ -81,7 +81,7 @@ func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 	// it with a fresh client rig and a teardown.
 	run := func(st *store.Store) (*rig, func()) {
 		t.Helper()
-		svc := New(Config{Clock: clk, BaseURL: "http://po:9200", Mode: ModeFixed, Store: st})
+		svc := New(Config{Clock: clk, BaseURL: "http://po:9200", Store: st})
 		if err := svc.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,6 @@ func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 			t.Fatalf("deliver %d status = %d", i, resp.Status)
 		}
 	}
-	waitFor(t, func() bool { return r1.svc.Stored.Value() == 3 })
 	results, _ := r1.rpc(t, OpTake,
 		soap.Param{Name: "boxId", Value: id},
 		soap.Param{Name: "token", Value: token},

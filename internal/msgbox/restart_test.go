@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/httpx"
@@ -45,7 +44,7 @@ func parkedEnvelope(size int) []byte {
 func parkBacklog(tb testing.TB, dir string, n int, body []byte) {
 	tb.Helper()
 	st := openDurable(tb, dir)
-	svc := New(Config{Clock: clock.Wall, BaseURL: "http://po:9200", Store: st, BoxCap: n, StoreBacklog: n})
+	svc := New(Config{Clock: clock.Wall, BaseURL: "http://po:9200", Store: st, BoxCap: n})
 	if err := svc.Start(); err != nil {
 		tb.Fatal(err)
 	}
@@ -64,12 +63,8 @@ func parkBacklog(tb testing.TB, dir string, n int, body []byte) {
 		ex.Req.Body = body
 		svc.Serve(ex)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for svc.Stored.Value() < int64(n) {
-		if svc.StoreFailures.Value() > 0 || time.Now().After(deadline) {
-			tb.Fatalf("parked %d of %d (%d refused)", svc.Stored.Value(), n, svc.StoreFailures.Value())
-		}
-		time.Sleep(time.Millisecond)
+	if svc.Stored.Value() != int64(n) {
+		tb.Fatalf("parked %d of %d (%d refused)", svc.Stored.Value(), n, svc.StoreFailures.Value())
 	}
 	svc.Stop()
 	if err := st.Close(); err != nil {
@@ -165,7 +160,7 @@ func TestRestartReturnsDepositedBytes(t *testing.T) {
 	}
 
 	st1 := openDurable(t, dir)
-	r1 := newRig(t, Config{Mode: ModeFixed, Store: st1})
+	r1 := newRig(t, Config{Store: st1})
 	id, token, _ := r1.create(t)
 	for i, raw := range sent {
 		resp, err := r1.client.Do("po:9200", httpx.NewRequest("POST", "/mbox/"+id, raw))
@@ -177,7 +172,6 @@ func TestRestartReturnsDepositedBytes(t *testing.T) {
 		}
 		resp.Release()
 	}
-	waitFor(t, func() bool { return r1.svc.Stored.Value() == int64(len(sent)) })
 	check("before restart", take(r1, id, token, "3"), sent[:3])
 	r1.svc.Stop()
 	if err := st1.Close(); err != nil {
@@ -186,7 +180,7 @@ func TestRestartReturnsDepositedBytes(t *testing.T) {
 
 	st2 := openDurable(t, dir)
 	defer st2.Close()
-	r2 := newRig(t, Config{Mode: ModeFixed, Store: st2})
+	r2 := newRig(t, Config{Store: st2})
 	check("after restart", take(r2, id, token, fmt.Sprint(len(sent))), sent[3:])
 }
 

@@ -1,24 +1,23 @@
-// Package pool provides the worker-pool machinery behind both dispatchers
-// and WS-MsgBox, plus a thread Ledger that models Java's per-thread stack
-// allocation so the paper's WS-MsgBox OutOfMemoryError bug (§4.3.2) can be
-// reproduced safely inside a Go process.
+// Package pool provides the fixed-size worker pool behind the
+// MSG-Dispatcher's CxThreads and the asynchronous echo service's reply
+// workers.
 //
 // The paper's MSG-Dispatcher "manages two pools of threads (the sizes of
-// the pools are configurable)" and relies on the Concurrent Java Library
-// for "thread pool operations such as add, pre-create, and destroy". Pool
-// mirrors that: a bounded set of workers consuming a shared FIFO of tasks,
-// with pre-created cores, on-demand growth to a maximum, and idle-destroy.
+// the pools are configurable)" and pre-creates them. Pool mirrors that:
+// Core workers, started together by Start, consume a bounded FIFO of
+// tasks. The pool never grows or shrinks; a full backlog refuses the
+// task (TrySubmit returns queue.ErrFull) and the caller turns the refusal
+// into its own overload answer.
 package pool
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/queue"
 )
 
-// ErrStopped is returned by Submit after Stop.
+// ErrStopped is returned by TrySubmit after Stop.
 var ErrStopped = errors.New("pool: stopped")
 
 // Task is a unit of work executed by a pool worker.
@@ -29,32 +28,19 @@ type Config struct {
 	// Core is the number of workers pre-created at Start. The paper's
 	// dispatcher pre-creates its CxThreads and WsThreads.
 	Core int
-	// Max is the maximum number of workers; 0 means Max = Core.
-	// Workers above Core are created on demand when the backlog is
-	// non-empty and destroyed when the backlog drains.
-	Max int
 	// Backlog bounds the task queue; 0 means unbounded.
 	Backlog int
-	// Ledger, if non-nil, charges each worker's stack to a shared
-	// memory budget, so over-threading fails the way a 2004 JVM did.
-	Ledger *Ledger
 }
 
-// Pool executes Tasks on a bounded set of worker goroutines.
+// Pool executes Tasks on a fixed set of worker goroutines.
 type Pool struct {
 	cfg   Config
 	tasks *queue.FIFO[Task]
 
 	mu      sync.Mutex
-	workers int
-	busy    int
 	started bool
 	stopped bool
 	done    sync.WaitGroup
-
-	// counters
-	executed uint64
-	rejected uint64
 }
 
 // New returns an unstarted pool with the given configuration.
@@ -62,19 +48,10 @@ func New(cfg Config) *Pool {
 	if cfg.Core < 1 {
 		cfg.Core = 1
 	}
-	if cfg.Max < cfg.Core {
-		cfg.Max = cfg.Core
-	}
 	return &Pool{cfg: cfg, tasks: queue.New[Task](cfg.Backlog)}
 }
 
 // Start pre-creates the core workers. It is a no-op when already started.
-//
-// The core pre-create admits through the Ledger in one transaction: the
-// whole batch of stacks is reserved (or refused) under a single ledger
-// lock acquisition, and on refusal no worker starts at all — the 2004
-// JVM either had room for the configured pool or threw before the pool
-// existed, not after half of it did.
 func (p *Pool) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -85,29 +62,10 @@ func (p *Pool) Start() error {
 		return ErrStopped
 	}
 	p.started = true
-	if p.cfg.Ledger != nil {
-		if err := p.cfg.Ledger.SpawnThreads(p.cfg.Core); err != nil {
-			return fmt.Errorf("pool: cannot pre-create %d core workers: %w", p.cfg.Core, err)
-		}
-	}
+	p.done.Add(p.cfg.Core)
 	for i := 0; i < p.cfg.Core; i++ {
-		p.workers++
-		p.done.Add(1)
-		go p.run(true)
+		go p.run()
 	}
-	return nil
-}
-
-// Submit enqueues a task, blocking if the backlog is bounded and full. It
-// grows the pool toward Max when every worker is busy.
-func (p *Pool) Submit(t Task) error {
-	if err := p.tasks.Put(t); err != nil {
-		p.mu.Lock()
-		p.rejected++
-		p.mu.Unlock()
-		return ErrStopped
-	}
-	p.maybeGrow()
 	return nil
 }
 
@@ -116,134 +74,29 @@ func (p *Pool) Submit(t Task) error {
 // message) or ErrStopped after Stop.
 func (p *Pool) TrySubmit(t Task) error {
 	err := p.tasks.TryPut(t)
-	switch err {
-	case nil:
-		p.maybeGrow()
-		return nil
-	case queue.ErrClosed:
-		err = ErrStopped
+	if err == queue.ErrClosed {
+		return ErrStopped
 	}
-	p.mu.Lock()
-	p.rejected++
-	p.mu.Unlock()
 	return err
-}
-
-// SubmitWait runs the task and blocks until it completes.
-func (p *Pool) SubmitWait(t Task) error {
-	done := make(chan struct{})
-	err := p.Submit(func() {
-		defer close(done)
-		t()
-	})
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
 }
 
 // Stop closes the task queue, lets workers drain remaining tasks, and
 // waits for them to exit. Stop is idempotent.
 func (p *Pool) Stop() {
 	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		p.done.Wait()
-		return
-	}
 	p.stopped = true
 	p.mu.Unlock()
 	p.tasks.Close()
 	p.done.Wait()
 }
 
-// Stats is a snapshot of pool activity.
-type Stats struct {
-	Workers  int    // live workers
-	Busy     int    // workers currently running a task
-	Backlog  int    // queued tasks
-	Executed uint64 // tasks completed
-	Rejected uint64 // tasks refused (full backlog or stopped)
-}
-
-// Stats returns a snapshot of the pool's current state.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Stats{
-		Workers:  p.workers,
-		Busy:     p.busy,
-		Backlog:  p.tasks.Len(),
-		Executed: p.executed,
-		Rejected: p.rejected,
-	}
-}
-
-// maybeGrow adds a surge worker when the backlog exceeds the number of
-// idle workers and the pool is below Max. (Comparing against idle workers
-// rather than requiring busy == workers avoids a race where tasks are
-// queued before any worker has marked itself busy.)
-func (p *Pool) maybeGrow() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.started || p.stopped {
-		return
-	}
-	idle := p.workers - p.busy
-	if p.workers < p.cfg.Max && p.tasks.Len() > idle {
-		// Growth failure is not an error for the caller: the task is
-		// queued and existing workers will get to it.
-		_ = p.spawnLocked(false)
-	}
-}
-
-// spawnLocked starts one worker. core workers block on the queue forever;
-// surge workers exit when the queue momentarily drains ("destroy").
-func (p *Pool) spawnLocked(core bool) error {
-	if p.cfg.Ledger != nil {
-		if err := p.cfg.Ledger.SpawnThread(); err != nil {
-			return fmt.Errorf("pool: cannot add worker: %w", err)
-		}
-	}
-	p.workers++
-	p.done.Add(1)
-	go p.run(core)
-	return nil
-}
-
-func (p *Pool) run(core bool) {
-	defer func() {
-		p.mu.Lock()
-		p.workers--
-		p.mu.Unlock()
-		if p.cfg.Ledger != nil {
-			p.cfg.Ledger.ReleaseThread()
-		}
-		p.done.Done()
-	}()
+func (p *Pool) run() {
+	defer p.done.Done()
 	for {
-		var t Task
-		var err error
-		if core {
-			t, err = p.tasks.Take()
-			if err != nil {
-				return
-			}
-		} else {
-			var ok bool
-			t, ok = p.tasks.TryTake()
-			if !ok {
-				return // surge worker destroyed on idle
-			}
+		t, err := p.tasks.Take()
+		if err != nil {
+			return
 		}
-		p.mu.Lock()
-		p.busy++
-		p.mu.Unlock()
 		t()
-		p.mu.Lock()
-		p.busy--
-		p.executed++
-		p.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ func TestPoolExecutesTasks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		if err := p.Submit(func() { n.Add(1); wg.Done() }); err != nil {
+		if err := p.TrySubmit(func() { n.Add(1); wg.Done() }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,22 +29,6 @@ func TestPoolExecutesTasks(t *testing.T) {
 	if n.Load() != 100 {
 		t.Fatalf("executed %d tasks, want 100", n.Load())
 	}
-	if s := p.Stats(); s.Executed != 100 {
-		t.Fatalf("Stats.Executed = %d", s.Executed)
-	}
-}
-
-func TestSubmitWait(t *testing.T) {
-	p := New(Config{Core: 1})
-	p.Start()
-	defer p.Stop()
-	ran := false
-	if err := p.SubmitWait(func() { ran = true }); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("SubmitWait returned before task ran")
-	}
 }
 
 func TestStopDrainsQueuedTasks(t *testing.T) {
@@ -51,9 +36,9 @@ func TestStopDrainsQueuedTasks(t *testing.T) {
 	p.Start()
 	var n atomic.Int64
 	release := make(chan struct{})
-	p.Submit(func() { <-release })
+	p.TrySubmit(func() { <-release })
 	for i := 0; i < 10; i++ {
-		p.Submit(func() { n.Add(1) })
+		p.TrySubmit(func() { n.Add(1) })
 	}
 	close(release)
 	p.Stop()
@@ -66,9 +51,7 @@ func TestSubmitAfterStop(t *testing.T) {
 	p := New(Config{Core: 1})
 	p.Start()
 	p.Stop()
-	if err := p.Submit(func() {}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Submit after Stop = %v, want ErrStopped", err)
-	}
+	p.Stop() // idempotent
 	if err := p.TrySubmit(func() {}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("TrySubmit after Stop = %v, want ErrStopped", err)
 	}
@@ -78,111 +61,20 @@ func TestTrySubmitFullBacklog(t *testing.T) {
 	p := New(Config{Core: 1, Backlog: 1})
 	p.Start()
 	defer p.Stop()
-	release := make(chan struct{})
+	busy, release := make(chan struct{}), make(chan struct{})
 	defer close(release)
-	p.Submit(func() { <-release }) // occupy the worker
-	waitUntil(t, func() bool { return p.Stats().Busy == 1 })
+	p.TrySubmit(func() { close(busy); <-release }) // occupy the worker
+	<-busy
 	if err := p.TrySubmit(func() {}); err != nil {
 		t.Fatalf("first queued TrySubmit = %v", err)
 	}
 	if err := p.TrySubmit(func() {}); !errors.Is(err, queue.ErrFull) {
 		t.Fatalf("TrySubmit on full backlog = %v, want ErrFull", err)
 	}
-	if p.Stats().Rejected == 0 {
-		t.Fatal("rejected counter not incremented")
-	}
-}
-
-func TestPoolGrowsToMax(t *testing.T) {
-	p := New(Config{Core: 1, Max: 4})
-	p.Start()
-	defer p.Stop()
-	release := make(chan struct{})
-	defer close(release) // must run before Stop so blocked tasks finish
-	var started atomic.Int64
-	for i := 0; i < 4; i++ {
-		p.Submit(func() {
-			started.Add(1)
-			<-release
-		})
-	}
-	waitUntil(t, func() bool { return started.Load() >= 2 })
-	if w := p.Stats().Workers; w < 2 || w > 4 {
-		t.Fatalf("workers = %d, want between 2 and 4", w)
-	}
-}
-
-func TestSurgeWorkersDestroyedWhenIdle(t *testing.T) {
-	p := New(Config{Core: 1, Max: 8})
-	p.Start()
-	defer p.Stop()
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		p.Submit(func() {
-			time.Sleep(time.Millisecond)
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	waitUntil(t, func() bool { return p.Stats().Workers == 1 })
-}
-
-func TestLedgerCapsWorkers(t *testing.T) {
-	// Budget for exactly 2 threads.
-	l := NewLedger(1024, 2048)
-	p := New(Config{Core: 4, Ledger: l})
-	if err := p.Start(); err == nil {
-		t.Fatal("Start with insufficient ledger budget should fail")
-	} else if !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Start error = %v, want ErrOutOfMemory", err)
-	}
-	p.Stop()
-}
-
-func TestLedgerAccounting(t *testing.T) {
-	l := NewLedger(100, 1000)
-	if l.Capacity() != 10 {
-		t.Fatalf("Capacity = %d, want 10", l.Capacity())
-	}
-	for i := 0; i < 10; i++ {
-		if err := l.SpawnThread(); err != nil {
-			t.Fatalf("spawn %d: %v", i, err)
-		}
-	}
-	if err := l.SpawnThread(); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("11th spawn = %v, want ErrOutOfMemory", err)
-	}
-	if l.Live() != 10 || l.Peak() != 10 || l.OOMEvents() != 1 {
-		t.Fatalf("Live=%d Peak=%d OOM=%d", l.Live(), l.Peak(), l.OOMEvents())
-	}
-	l.ReleaseThread()
-	if err := l.SpawnThread(); err != nil {
-		t.Fatalf("spawn after release: %v", err)
-	}
-	if l.Peak() != 10 {
-		t.Fatalf("Peak = %d after release/respawn, want 10", l.Peak())
-	}
-}
-
-func TestLedgerReleaseUnderflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReleaseThread underflow did not panic")
-		}
-	}()
-	NewLedger(0, 0).ReleaseThread()
-}
-
-func TestLedgerDefaults(t *testing.T) {
-	l := NewLedger(0, 0)
-	if got := l.Capacity(); got != DefaultBudgetBytes/DefaultStackBytes {
-		t.Fatalf("default Capacity = %d", got)
-	}
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	p := New(Config{Core: 4, Max: 8})
+	p := New(Config{Core: 4})
 	p.Start()
 	var n atomic.Int64
 	var wg sync.WaitGroup
@@ -191,7 +83,10 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				p.Submit(func() { n.Add(1) })
+				if err := p.TrySubmit(func() { n.Add(1) }); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -202,85 +97,92 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func waitUntil(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+// TestCoreWorkersRunConcurrently checks that Start pre-creates all Core
+// workers: Core tasks that each wait for all the others can only finish
+// if every one of them is running at once.
+func TestCoreWorkersRunConcurrently(t *testing.T) {
+	const core = 4
+	p := New(Config{Core: core})
+	p.Start()
+	defer p.Stop()
+	var arrived sync.WaitGroup
+	arrived.Add(core)
+	done := make(chan struct{}, core)
+	for i := 0; i < core; i++ {
+		if err := p.TrySubmit(func() {
+			arrived.Done()
+			arrived.Wait()
+			done <- struct{}{}
+		}); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition not reached within 5s")
-}
-
-// TestBatchAdmission pins the one-transaction contract of SpawnThreads:
-// a batch either fits entirely or is refused entirely, with exactly one
-// OOM event per refused batch and no partial reservation.
-func TestBatchAdmission(t *testing.T) {
-	l := NewLedger(100, 1000) // capacity 10
-	if err := l.SpawnThreads(4); err != nil {
-		t.Fatalf("SpawnThreads(4): %v", err)
-	}
-	if err := l.SpawnThreads(7); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("SpawnThreads(7) over budget = %v, want ErrOutOfMemory", err)
-	}
-	if l.Live() != 4 {
-		t.Fatalf("Live = %d after refused batch, want 4 (no partial admission)", l.Live())
-	}
-	if l.OOMEvents() != 1 {
-		t.Fatalf("OOMEvents = %d after one refused batch, want 1", l.OOMEvents())
-	}
-	if err := l.SpawnThreads(6); err != nil { // exactly fits
-		t.Fatalf("SpawnThreads(6) at exact fit: %v", err)
-	}
-	if l.Live() != 10 || l.Peak() != 10 {
-		t.Fatalf("Live=%d Peak=%d, want 10/10", l.Live(), l.Peak())
-	}
-	l.ReleaseThreads(10)
-	if l.Live() != 0 {
-		t.Fatalf("Live = %d after ReleaseThreads(10), want 0", l.Live())
+	for i := 0; i < core; i++ {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d core workers ran at once", i, core)
+		}
 	}
 }
 
-func TestReleaseThreadsUnderflowPanics(t *testing.T) {
-	l := NewLedger(100, 1000)
-	if err := l.SpawnThreads(2); err != nil {
+// TestPoolNeverGrows checks that a busy pool queues work rather than
+// adding workers: no more than Core tasks ever run at once.
+func TestPoolNeverGrows(t *testing.T) {
+	const core = 2
+	p := New(Config{Core: core})
+	p.Start()
+	var running, peak atomic.Int64
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		if err := p.TrySubmit(func() {
+			defer wg.Done()
+			n := running.Add(1)
+			for {
+				old := peak.Load()
+				if n <= old || peak.CompareAndSwap(old, n) {
+					break
+				}
+			}
+			<-release
+			running.Add(-1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	wg.Wait()
+	p.Stop()
+	if got := peak.Load(); got > core {
+		t.Fatalf("peak concurrent tasks = %d, want at most Core = %d", got, core)
+	}
+}
+
+func TestStartAfterStop(t *testing.T) {
+	p := New(Config{Core: 1})
+	p.Stop()
+	if err := p.Start(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Start after Stop = %v, want ErrStopped", err)
+	}
+}
+
+// TestTasksQueuedBeforeStartRun checks that tasks accepted before Start
+// wait in the backlog and run, in order, once the workers exist.
+func TestTasksQueuedBeforeStartRun(t *testing.T) {
+	p := New(Config{Core: 1})
+	var got []int
+	for i := 0; i < 5; i++ {
+		if err := p.TrySubmit(func() { got = append(got, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReleaseThreads underflow did not panic")
-		}
-	}()
-	l.ReleaseThreads(3)
-}
-
-// TestStartBatchAdmission verifies Pool.Start admits its core pre-create
-// through the ledger as one batch: a refused pool leaves the ledger
-// untouched (no half-started worker set), a fitting pool charges Core
-// stacks and releases them all on Stop.
-func TestStartBatchAdmission(t *testing.T) {
-	tight := NewLedger(1024, 2048) // room for 2 stacks
-	p := New(Config{Core: 4, Ledger: tight})
-	if err := p.Start(); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Start = %v, want ErrOutOfMemory", err)
-	}
-	if tight.Live() != 0 {
-		t.Fatalf("refused pool left Live = %d, want 0", tight.Live())
-	}
 	p.Stop()
-
-	roomy := NewLedger(1024, 4096)
-	p = New(Config{Core: 4, Ledger: roomy})
-	if err := p.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if roomy.Live() != 4 {
-		t.Fatalf("Live = %d after Start, want 4", roomy.Live())
-	}
-	p.Stop()
-	if roomy.Live() != 0 {
-		t.Fatalf("Live = %d after Stop, want 0", roomy.Live())
+	if fmt.Sprint(got) != "[0 1 2 3 4]" {
+		t.Fatalf("ran %v, want [0 1 2 3 4]", got)
 	}
 }

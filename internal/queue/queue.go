@@ -4,8 +4,9 @@
 // The paper's MSG-Dispatcher gives each destination-service thread
 // (WsThread) "a First-In-First-Out queue of messages to send"; WS-MsgBox
 // stores arriving messages per mailbox until the owner polls. Both need a
-// blocking, optionally bounded FIFO with a close/drain story, which the Go
-// standard library's channels only partially cover (channels cannot be
+// FIFO, optionally bounded, whose producers never block (a full queue
+// refuses) and whose consumers may, with a close/drain story, which the
+// Go standard library's channels only partially cover (channels cannot be
 // inspected, drained after close by multiple readers with size reporting,
 // or grown without bound). FIFO is that structure.
 package queue
@@ -27,7 +28,6 @@ var ErrFull = errors.New("queue: full")
 type FIFO[T any] struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
-	notFull  *sync.Cond
 	items    []T
 	head     int // index of the next item to pop; items[:head] are dead
 	cap      int // 0 = unbounded
@@ -41,27 +41,7 @@ func New[T any](capacity int) *FIFO[T] {
 	}
 	q := &FIFO[T]{cap: capacity}
 	q.notEmpty = sync.NewCond(&q.mu)
-	q.notFull = sync.NewCond(&q.mu)
 	return q
-}
-
-// Put appends item, blocking while a bounded queue is full. It returns
-// ErrClosed if the queue is closed before the item is accepted.
-func (q *FIFO[T]) Put(item T) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.closed {
-			return ErrClosed
-		}
-		if q.cap == 0 || q.lenLocked() < q.cap {
-			break
-		}
-		q.notFull.Wait()
-	}
-	q.items = append(q.items, item)
-	q.notEmpty.Signal()
-	return nil
 }
 
 // TryPut appends item without blocking. It returns ErrFull if the queue is
@@ -168,14 +148,13 @@ func (q *FIFO[T]) Closed() bool {
 	return q.closed
 }
 
-// Close marks the queue closed. Blocked Puts fail with ErrClosed; blocked
+// Close marks the queue closed. Later puts fail with ErrClosed; blocked
 // Takes drain remaining items and then fail. Close is idempotent.
 func (q *FIFO[T]) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 }
 
 func (q *FIFO[T]) lenLocked() int { return len(q.items) - q.head }
@@ -190,9 +169,6 @@ func (q *FIFO[T]) popLocked() T {
 		n := copy(q.items, q.items[q.head:])
 		q.items = q.items[:n]
 		q.head = 0
-	}
-	if q.cap != 0 {
-		q.notFull.Signal()
 	}
 	return item
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,7 @@ import (
 func TestFIFOOrder(t *testing.T) {
 	q := New[int](0)
 	for i := 0; i < 100; i++ {
-		if err := q.Put(i); err != nil {
+		if err := q.TryPut(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,31 +50,6 @@ func TestBoundedTryPut(t *testing.T) {
 	}
 }
 
-func TestBoundedPutBlocksUntilTake(t *testing.T) {
-	q := New[int](1)
-	if err := q.Put(1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- q.Put(2) }()
-	select {
-	case <-done:
-		t.Fatal("Put on full bounded queue returned before space freed")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if _, err := q.Take(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Put never completed after Take")
-	}
-}
-
 func TestTakeBlocksUntilPut(t *testing.T) {
 	q := New[int](0)
 	got := make(chan int, 1)
@@ -85,7 +61,7 @@ func TestTakeBlocksUntilPut(t *testing.T) {
 		got <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := q.Put(7); err != nil {
+	if err := q.TryPut(7); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -100,11 +76,11 @@ func TestTakeBlocksUntilPut(t *testing.T) {
 
 func TestCloseDrainsThenErrClosed(t *testing.T) {
 	q := New[int](0)
-	q.Put(1)
-	q.Put(2)
+	q.TryPut(1)
+	q.TryPut(2)
 	q.Close()
-	if err := q.Put(3); err != ErrClosed {
-		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	if err := q.TryPut(3); err != ErrClosed {
+		t.Fatalf("TryPut after Close = %v, want ErrClosed", err)
 	}
 	if v, err := q.Take(); err != nil || v != 1 {
 		t.Fatalf("Take = %d, %v", v, err)
@@ -143,7 +119,7 @@ func TestCloseUnblocksTakers(t *testing.T) {
 func TestDrain(t *testing.T) {
 	q := New[int](0)
 	for i := 0; i < 5; i++ {
-		q.Put(i)
+		q.TryPut(i)
 	}
 	got := q.Drain()
 	if len(got) != 5 {
@@ -160,7 +136,7 @@ func TestDrain(t *testing.T) {
 func TestLen(t *testing.T) {
 	q := New[int](0)
 	for i := 0; i < 7; i++ {
-		q.Put(i)
+		q.TryPut(i)
 	}
 	q.Take()
 	q.Take()
@@ -174,7 +150,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	next := 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 20; i++ {
-			q.Put(round*20 + i)
+			q.TryPut(round*20 + i)
 		}
 		for i := 0; i < 15; i++ {
 			v, err := q.Take()
@@ -197,8 +173,13 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				if err := q.Put(1); err != nil {
+			for i := 0; i < perProducer; {
+				switch err := q.TryPut(1); err {
+				case nil:
+					i++
+				case ErrFull:
+					runtime.Gosched() // the consumers make room
+				default:
 					t.Error(err)
 					return
 				}
@@ -241,7 +222,7 @@ func TestQuickFIFOProperty(t *testing.T) {
 	f := func(values []int, takes uint8) bool {
 		q := New[int](0)
 		for _, v := range values {
-			q.Put(v)
+			q.TryPut(v)
 		}
 		n := int(takes)
 		if n > len(values) {
@@ -328,5 +309,29 @@ func TestTryPutBatchWakesAllTakers(t *testing.T) {
 	}
 	if sum != 100 {
 		t.Fatalf("takers got sum %d, want 100", sum)
+	}
+}
+
+func TestClosedReportsClose(t *testing.T) {
+	q := New[int](0)
+	if q.Closed() {
+		t.Fatal("new queue reports Closed")
+	}
+	q.Close()
+	q.Close() // idempotent
+	if !q.Closed() {
+		t.Fatal("closed queue does not report Closed")
+	}
+}
+
+func TestNegativeCapacityIsUnbounded(t *testing.T) {
+	q := New[int](-1)
+	for i := 0; i < 1000; i++ {
+		if err := q.TryPut(i); err != nil {
+			t.Fatalf("TryPut %d on New(-1) = %v, want unbounded", i, err)
+		}
+	}
+	if q.Len() != 1000 {
+		t.Fatalf("Len = %d, want 1000", q.Len())
 	}
 }
