@@ -326,8 +326,7 @@ func runSaturationPoint(b *testing.B, clients, shards, backends int, kill bool) 
 	httpCli := httpx.NewClient(cli, httpx.ClientConfig{Clock: clk, RequestTimeout: 10 * time.Second})
 	defer httpCli.Close()
 	op := func(id, seq int) error {
-		env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-			soap.Param{Name: "message", Value: "ramp"})
+		env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "ramp")))
 		(&wsa.Headers{
 			To:        msgdisp.LogicalScheme + "echo",
 			Action:    echoservice.EchoNS + ":" + echoservice.EchoOp,

@@ -52,8 +52,8 @@ func main() {
 	var op loadgen.Op
 	switch *mode {
 	case "rpc":
-		body, merr := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-			soap.Param{Name: "message", Value: "wsping"}).Marshal()
+		body, merr := soap.AppendRPC(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp,
+			soap.Param{Name: "message", Value: "wsping"})
 		if merr != nil {
 			log.Fatal(merr)
 		}

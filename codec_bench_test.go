@@ -77,6 +77,61 @@ func BenchmarkMarshal(b *testing.B) {
 	})
 }
 
+// BenchmarkRPCCodec measures one rpc-echo call's envelopes both ways:
+// the element tree the RPC endpoints used to build and parse (render:
+// build the tree, then wsa.AppendEnvelope; decode: soap.Parse, then
+// ParseRPCResponse) against the byte codec (soap.AppendRPC and
+// soap.DecodeRPCResponse), on a 16-byte message.
+func BenchmarkRPCCodec(b *testing.B) {
+	params := []soap.Param{{Name: "message", Value: "m-0001-000042-ab"}}
+	resp, err := soap.AppendRPCResponse(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp, params...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 0, 4096)
+	results := make([]soap.Param, 0, 4)
+	b.Run("render/tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			wrapper := xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp)
+			for _, p := range params {
+				wrapper.Add(xmlsoap.NewText("", p.Name, p.Value))
+			}
+			if _, err := wsa.AppendEnvelope(dst, soap.New(soap.V11).SetBody(wrapper)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("render/bytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := soap.AppendRPC(dst, soap.V11, echoservice.EchoNS, echoservice.EchoOp, params...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			env, err := soap.Parse(resp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := soap.ParseRPCResponse(env, echoservice.EchoOp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/bytes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if results, err = soap.DecodeRPCResponse(resp, echoservice.EchoOp, results); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkParse measures the receive half of the codec: the full
 // soap.Parse path the dispatchers pay per message, the xmlsoap tree
 // parse alone (pooled and dedicated-decoder), and the frozen

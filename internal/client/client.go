@@ -11,9 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/httpx"
@@ -23,12 +24,19 @@ import (
 	"repro/internal/xmlsoap"
 )
 
-// RPC performs SOAP-RPC calls over HTTP.
+// RPC performs SOAP-RPC calls over HTTP. Calls are rendered with
+// soap.AppendRPC and responses read with soap.DecodeRPCResponse, so a
+// call builds no element tree on either leg.
 type RPC struct {
 	// HTTP is the transport (its dialer is bound to the peer's host).
 	HTTP *httpx.Client
 	// Version selects the SOAP version; zero value is SOAP 1.1.
 	Version soap.Version
+
+	// action caches the SOAPAction header value of the operation called
+	// last: a client calls one operation over and over, so the quoted
+	// concatenation amortizes to zero.
+	action atomic.Pointer[string]
 }
 
 // NewRPC wraps an HTTP client for SOAP-RPC.
@@ -46,22 +54,40 @@ func (c *RPC) Call(serviceURL, serviceNS, operation string, params ...soap.Param
 // method releases before returning, so nothing handed to the caller may
 // alias it.
 func (c *RPC) CallTimeout(serviceURL, serviceNS, operation string, timeout time.Duration, params ...soap.Param) ([]soap.Param, error) {
-	addr, path, err := httpx.SplitURL(serviceURL)
+	resp, results, err := c.exchange(serviceURL, serviceNS, operation, timeout, params)
 	if err != nil {
 		return nil, err
+	}
+	defer resp.Release()
+	for i, p := range results {
+		// One copy per result: name and value share a fresh string.
+		s := p.Name + p.Value
+		results[i] = soap.Param{Name: s[:len(p.Name)], Value: s[len(p.Name):]}
+	}
+	return results, nil
+}
+
+// exchange sends one call and decodes its response. On success the
+// caller owns resp and must Release it; results alias its pooled body,
+// except values with entity references, which the decoder unescaped
+// into memory of its own. Errors are already detached from the body.
+func (c *RPC) exchange(serviceURL, serviceNS, operation string, timeout time.Duration, params []soap.Param) (*httpx.Response, []soap.Param, error) {
+	addr, path, err := httpx.SplitURL(serviceURL)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Render the call straight into a pooled buffer; the HTTP client
 	// writes it to the connection and the buffer is released on return.
 	buf := xmlsoap.GetBuffer()
 	defer xmlsoap.PutBuffer(buf)
-	body, err := wsa.AppendEnvelope(buf.B, soap.RPCRequest(c.Version, serviceNS, operation, params...))
+	body, err := soap.AppendRPC(buf.B, c.Version, serviceNS, operation, params...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	buf.B = body
 	req := httpx.NewRequest("POST", path, body)
 	req.Header.Set("Content-Type", c.Version.ContentType())
-	req.Header.Set("SOAPAction", `"`+serviceNS+":"+operation+`"`)
+	req.Header.Set("SOAPAction", c.soapAction(serviceNS, operation))
 
 	var resp *httpx.Response
 	if timeout > 0 {
@@ -70,28 +96,36 @@ func (c *RPC) CallTimeout(serviceURL, serviceNS, operation string, timeout time.
 		resp, err = c.HTTP.Do(addr, req)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer resp.Release()
-	env, err := soap.Parse(resp.Body)
+	results, err := soap.DecodeRPCResponse(resp.Body, operation, nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: bad RPC response (HTTP %d): %w", resp.Status, err)
-	}
-	results, err := soap.ParseRPCResponse(env, operation)
-	if err != nil {
+		status := resp.Status
+		resp.Release()
+		var ee *soap.EnvelopeError
 		var f *soap.Fault
-		if errors.As(err, &f) {
+		switch {
+		case errors.As(err, &ee):
+			return nil, nil, fmt.Errorf("client: bad RPC response (HTTP %d): %w", status, ee.Err)
+		case errors.As(err, &f):
 			// The fault's strings alias the pooled body; detach before
-			// it escapes the deferred release.
-			return nil, f.Detach()
+			// it escapes the release.
+			return nil, nil, f.Detach()
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	for i := range results {
-		results[i].Name = strings.Clone(results[i].Name)
-		results[i].Value = strings.Clone(results[i].Value)
+	return resp, results, nil
+}
+
+// soapAction returns the quoted "ns:op" SOAPAction value.
+func (c *RPC) soapAction(ns, op string) string {
+	if a := c.action.Load(); a != nil && len(*a) == len(ns)+len(op)+3 &&
+		(*a)[1:1+len(ns)] == ns && (*a)[2+len(ns):len(*a)-1] == op {
+		return *a
 	}
-	return results, nil
+	a := `"` + ns + ":" + op + `"`
+	c.action.Store(&a)
+	return a
 }
 
 // Messenger sends one-way WS-Addressing messages (fire-and-forget with
@@ -234,29 +268,51 @@ func (mc *MailboxClient) Take(box *Box, max int) ([]*soap.Envelope, error) {
 }
 
 // take downloads up to max messages, asking the mailbox to hold the take
-// for up to wait while the box is empty.
+// for up to wait while the box is empty. Each message is parsed from the
+// bytes the decoder unescaped it into, with no further copy: the
+// messages of one take share one block, which lives as long as any of
+// them.
 func (mc *MailboxClient) take(box *Box, max int, wait time.Duration) ([]*soap.Envelope, error) {
-	results, err := mc.RPC.Call(mc.ServiceURL, msgbox.ServiceNS, msgbox.OpTake,
-		soap.Param{Name: "boxId", Value: box.ID},
-		soap.Param{Name: "token", Value: box.Token},
-		soap.Param{Name: "max", Value: strconv.Itoa(max)},
-		soap.Param{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)},
-	)
+	resp, results, err := mc.RPC.exchange(mc.ServiceURL, msgbox.ServiceNS, msgbox.OpTake, 0,
+		[]soap.Param{
+			{Name: "boxId", Value: box.ID},
+			{Name: "token", Value: box.Token},
+			{Name: "max", Value: strconv.Itoa(max)},
+			{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)},
+		})
 	if err != nil {
 		return nil, err
 	}
+	defer resp.Release()
 	var out []*soap.Envelope
 	for _, p := range results {
 		if p.Name == "count" {
 			continue
 		}
-		env, err := soap.Parse([]byte(p.Value))
+		env, err := soap.Parse(ownedBytes(p.Value, resp.Body))
 		if err != nil {
 			return nil, fmt.Errorf("client: undecodable stored message: %w", err)
 		}
 		out = append(out, env)
 	}
 	return out, nil
+}
+
+// ownedBytes returns the bytes of a decoded value for a parse whose tree
+// outlives body: a view of the value when the decoder unescaped it into
+// memory of its own (every stored message: an envelope's markup is
+// escaped on the wire), a copy when it still aliases body. soap.Parse
+// only reads its input, so the view is never written.
+func ownedBytes(v string, body []byte) []byte {
+	if v == "" {
+		return nil
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+	if p >= lo && p < lo+uintptr(cap(body)) {
+		return []byte(v)
+	}
+	return unsafe.Slice(unsafe.StringData(v), len(v))
 }
 
 // Peek returns the number of waiting messages without removing any.

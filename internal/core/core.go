@@ -383,12 +383,8 @@ func (s *Server) denied(ex *httpx.Exchange) bool {
 // serveLogin implements the SSO token service as SOAP-RPC:
 // login(principal, secret) -> token.
 func (s *Server) serveLogin(ex *httpx.Exchange) {
-	env, err := soap.Parse(ex.Req.Body)
-	if err != nil {
-		ex.ReplyBytes(httpx.StatusBadRequest, []byte(err.Error()))
-		return
-	}
-	call, err := soap.ParseRPC(env)
+	var params [2]soap.Param
+	call, v, err := soap.DecodeRPC(ex.Req.Body, params[:0])
 	if err != nil {
 		ex.ReplyBytes(httpx.StatusBadRequest, []byte(err.Error()))
 		return
@@ -397,18 +393,19 @@ func (s *Server) serveLogin(ex *httpx.Exchange) {
 	secret, _ := call.Param("secret")
 	token, err := s.cfg.Authority.Login(principal, secret)
 	if err != nil {
-		ex.Header().Set("Content-Type", env.Version.ContentType())
+		ex.Header().Set("Content-Type", v.ContentType())
 		ex.ReplyBytes(httpx.StatusUnauthorized,
-			soap.FaultBytes(env.Version, soap.FaultClient, err.Error()))
+			soap.FaultBytes(v, soap.FaultClient, err.Error()))
 		return
 	}
-	out := soap.RPCResponse(env.Version, "urn:wsd:auth", "login",
-		soap.Param{Name: "token", Value: token})
-	if err := ex.Reply(httpx.StatusOK, out.AppendTo); err != nil {
+	err = ex.Reply(httpx.StatusOK, func(dst []byte) ([]byte, error) {
+		return soap.AppendRPCResponse(dst, v, "urn:wsd:auth", "login", soap.Param{Name: "token", Value: token})
+	})
+	if err != nil {
 		ex.ReplyBytes(httpx.StatusInternalServerError, []byte(err.Error()))
 		return
 	}
-	ex.Header().Set("Content-Type", env.Version.ContentType())
+	ex.Header().Set("Content-Type", v.ContentType())
 }
 
 // serveWSDL renders registered WSDL metadata for one logical service.

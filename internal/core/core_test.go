@@ -172,8 +172,8 @@ func TestSSOBlocksUntokenedRequests(t *testing.T) {
 	r := newRig(t, func(cfg *Config) { cfg.Authority = authority })
 
 	// No token: 401.
-	body, _ := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: "x"}).Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp,
+		soap.Param{Name: "message", Value: "x"})
 	req := httpx.NewRequest("POST", "/rpc/echo", body)
 	resp, err := r.http.Do("wsd:9000", req)
 	if err != nil {

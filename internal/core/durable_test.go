@@ -106,7 +106,7 @@ func TestDurableServerSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	post("wsd:9100", "/msg", raw, httpx.StatusAccepted)
-	create, _ := soap.RPCRequest(soap.V11, msgbox.ServiceNS, msgbox.OpCreate).Marshal()
+	create, _ := soap.AppendRPC(nil, soap.V11, msgbox.ServiceNS, msgbox.OpCreate)
 	post("wsd:9200", "/mbox", create, httpx.StatusOK)
 	waitFor(t, func() bool { return s1.Courier.Pending() == 1 })
 	s1.Stop()

@@ -85,8 +85,8 @@ func (n memNet) DialTimeout(addr string, _ time.Duration) (net.Conn, error) {
 // Response structs, and the dispatcher's verdict channel is gone), and
 // zero per-exchange timer/rendezvous allocations (PR 7: wait timers,
 // waiter slots, and CxThread admission closures are pooled; client
-// connection deadlines are armed lazily; the echo response splices the
-// parsed request's children instead of rebuilding a Call), and zero
+// connection deadlines are armed lazily; the echo decodes the call into
+// a stack array and answers through soap.AppendRPCResponse), and zero
 // parse allocations on the forward legs (PR 9: canonical traffic routes
 // through the wsa skim scanner — spans, no trees — in both the CxThread
 // and the WsThread bridge, which retired the per-exchange parse arenas).
@@ -222,8 +222,7 @@ func newExchangeRig(tb testing.TB, foreign bool) (roundTrip func(), raw []byte) 
 	tb.Cleanup(cli.Close)
 
 	// One fully addressed RPC-over-messaging request, rendered once.
-	env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: "steady"})
+	env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "steady")))
 	if foreign {
 		env.AddHeader(xmlsoap.NewText("urn:custom", "Trace", "tid-7"))
 	}

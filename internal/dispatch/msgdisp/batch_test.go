@@ -279,8 +279,7 @@ func BenchmarkDispatchBatch(b *testing.B) {
 	// non-anonymous, so the burst is not serialized by blocked RPC waits.
 	reqs := make([]*httpx.Request, burst)
 	for i := range reqs {
-		env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-			soap.Param{Name: "message", Value: "steady"})
+		env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "steady")))
 		(&wsa.Headers{
 			To:        LogicalScheme + "echo-rpc",
 			Action:    echoservice.EchoNS + ":" + echoservice.EchoOp,

@@ -81,8 +81,7 @@ func newBridgeRig(t *testing.T, serviceTime time.Duration, anonWait time.Duratio
 // given ReplyTo and returns the HTTP response.
 func (r *bridgeRig) postRPCBody(t *testing.T, replyTo string) (*httpx.Response, string) {
 	t.Helper()
-	env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: "bridged"})
+	env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "bridged")))
 	h := &wsa.Headers{
 		To:        LogicalScheme + "echo-rpc",
 		Action:    echoservice.EchoNS + ":" + echoservice.EchoOp,
@@ -176,8 +175,7 @@ func TestAnonymousReplyTimesOutWith504(t *testing.T) {
 
 func TestBridgeWithoutReplyToDiscardsRPCResponse(t *testing.T) {
 	r := newBridgeRig(t, time.Millisecond, 10*time.Second)
-	env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: "noreply"})
+	env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "noreply")))
 	(&wsa.Headers{
 		To:        LogicalScheme + "echo-rpc",
 		MessageID: wsa.NewMessageID(),

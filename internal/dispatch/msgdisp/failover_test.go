@@ -73,8 +73,7 @@ func TestLoadgenFailoverAcrossBackendKill(t *testing.T) {
 	t.Cleanup(httpCli.Close)
 
 	op := func(id, seq int) error {
-		env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-			soap.Param{Name: "message", Value: "failover"})
+		env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "failover")))
 		(&wsa.Headers{
 			To:        LogicalScheme + "echo",
 			Action:    echoservice.EchoNS + ":" + echoservice.EchoOp,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/soap"
 	"repro/internal/wsa"
+	"repro/internal/xmlsoap"
 )
 
 // BenchmarkDispatchSharded measures the dispatcher's keyed-state striping
@@ -68,8 +69,7 @@ func BenchmarkDispatchSharded(b *testing.B) {
 				id := workerID.Add(1)
 				cli := httpx.NewClient(nets, httpx.ClientConfig{})
 				defer cli.Close()
-				env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-					soap.Param{Name: "message", Value: "sharded"})
+				env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "sharded")))
 				(&wsa.Headers{
 					To:        fmt.Sprintf("%secho-rpc%d", LogicalScheme, id%numDests),
 					Action:    echoservice.EchoNS + ":" + echoservice.EchoOp,

@@ -68,8 +68,8 @@ func newRig(t *testing.T, cfg Config) *rig {
 
 func echoRequest(t *testing.T, msg string) *httpx.Request {
 	t.Helper()
-	body, err := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: msg}).Marshal()
+	body, err := soap.AppendRPC(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp,
+		soap.Param{Name: "message", Value: msg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRoundRobinAcrossFarm(t *testing.T) {
 
 func TestUnknownServiceReturns404Fault(t *testing.T) {
 	r := newRig(t, Config{})
-	body, _ := soap.RPCRequest(soap.V11, "urn:x", "op").Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, "urn:x", "op")
 	resp, err := r.client.Do("wsd:9000", httpx.NewRequest("POST", "/rpc/ghost", body))
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +170,7 @@ func TestValidateRejectsMalformedSOAP(t *testing.T) {
 
 func TestValidateRejectsMustUnderstand(t *testing.T) {
 	r := newRig(t, Config{Validate: true})
-	env := soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-		soap.Param{Name: "message", Value: "x"})
+	env := soap.New(soap.V11).SetBody(xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).Add(xmlsoap.NewText("", "message", "x")))
 	hdr := xmlsoap.New("urn:critical:ext", "MustHandle")
 	hdr.SetAttr(soap.NS11, "mustUnderstand", "1")
 	env.AddHeader(hdr)

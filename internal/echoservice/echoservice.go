@@ -14,9 +14,7 @@
 package echoservice
 
 import (
-	"strings"
-	"sync"
-	"sync/atomic"
+	"errors"
 	"time"
 
 	"repro/internal/clock"
@@ -35,6 +33,9 @@ const EchoNS = "urn:wsd:echo"
 const EchoOp = "echoMessage"
 
 // RPC is the request/response echo service. It implements httpx.Handler.
+// A call is decoded with soap.DecodeRPC and its parameters are echoed
+// through soap.AppendRPCResponse, so an echo builds no element tree and,
+// for entity-free values, allocates nothing.
 type RPC struct {
 	// Clock drives the simulated service time.
 	Clock clock.Clock
@@ -46,31 +47,6 @@ type RPC struct {
 	// Handled counts answered calls; Rejected counts malformed ones.
 	Handled  stats.Counter
 	Rejected stats.Counter
-
-	// respName caches the "<op>Response" wrapper name for the operation
-	// last served: an echo service sees one operation for its lifetime,
-	// so the concatenation (and the detached copy of the operation name
-	// it is compared against) amortizes to zero.
-	respName atomic.Pointer[respName]
-	// scratch recycles the per-call response skeleton (see rpcScratch).
-	scratch sync.Pool
-}
-
-// respName is a cached operation → wrapper-name pair. op is detached
-// (the served operation name aliases the request buffer).
-type respName struct {
-	op, resp string
-}
-
-// rpcScratch is the reusable response skeleton of one echo call: the
-// wrapper element whose children are spliced straight from the parsed
-// request (they die with the exchange, and the render completes inside
-// Serve) and the envelope around it. Nothing survives the call, so the
-// whole response costs zero steady-state allocations.
-type rpcScratch struct {
-	wrapper xmlsoap.Element
-	body    [1]*xmlsoap.Element
-	env     soap.Envelope
 }
 
 // NewRPC returns an RPC echo service.
@@ -83,65 +59,37 @@ func NewRPC(clk clock.Clock, serviceTime time.Duration) *RPC {
 
 // Serve implements httpx.Handler.
 func (s *RPC) Serve(ex *httpx.Exchange) {
-	env, err := soap.Parse(ex.Req.Body)
+	var params [4]soap.Param
+	call, v, err := soap.DecodeRPC(ex.Req.Body, params[:0])
 	if err != nil {
 		s.Rejected.Inc()
-		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad envelope: "+err.Error())
-		return
-	}
-	// The checks soap.ParseRPC would perform, without building a Call
-	// nobody reads: the echo response needs only the wrapper name and
-	// the parameter elements, both already in the parsed tree.
-	wrapper := env.BodyElement()
-	if wrapper == nil {
-		s.Rejected.Inc()
-		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad RPC call: empty RPC body")
-		return
-	}
-	if f, ok := soap.AsFault(env); ok {
-		s.Rejected.Inc()
-		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad RPC call: "+f.Error())
+		var f *soap.Fault
+		switch {
+		case errors.As(err, new(*soap.EnvelopeError)):
+			soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad envelope: "+err.Error())
+		case errors.As(err, &f):
+			soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad RPC call: "+f.Error())
+		default:
+			soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad RPC call: empty RPC body")
+		}
 		return
 	}
 	if s.ServiceTime > 0 {
 		s.Clock.Sleep(s.ServiceTime)
 	}
-	// Echo every parameter back, unchanged — the parsed parameter
-	// elements are spliced into the response as-is (they die with this
-	// exchange, and the render below happens before Serve returns).
-	// Render straight into a pooled buffer that the connection releases
-	// after writing the reply — no per-call body or struct allocation.
-	rn := s.respName.Load()
-	if rn == nil || rn.op != wrapper.Name.Local {
-		rn = &respName{
-			op:   strings.Clone(wrapper.Name.Local),
-			resp: wrapper.Name.Local + "Response",
-		}
-		s.respName.Store(rn)
-	}
-	sc, _ := s.scratch.Get().(*rpcScratch)
-	if sc == nil {
-		sc = &rpcScratch{}
-	}
-	sc.wrapper = xmlsoap.Element{
-		Name:     xmlsoap.Name{Space: wrapper.Name.Space, Local: rn.resp},
-		Children: wrapper.Children,
-	}
-	sc.body[0] = &sc.wrapper
-	sc.env = soap.Envelope{Version: env.Version, Body: sc.body[:1]}
+	// Echo every parameter back, unchanged, rendered straight into a
+	// pooled buffer that the connection releases after writing the
+	// reply. The parameters alias the request body, which lives until
+	// Serve returns.
 	err = ex.Reply(httpx.StatusOK, func(dst []byte) ([]byte, error) {
-		return wsa.AppendEnvelope(dst, &sc.env)
+		return soap.AppendRPCResponse(dst, v, call.ServiceNS, call.Operation, call.Params...)
 	})
-	sc.wrapper = xmlsoap.Element{}
-	sc.body[0] = nil
-	sc.env = soap.Envelope{}
-	s.scratch.Put(sc)
 	if err != nil {
 		soap.ReplyFault(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())
 		return
 	}
 	s.Handled.Inc()
-	ex.Header().Set("Content-Type", env.Version.ContentType())
+	ex.Header().Set("Content-Type", v.ContentType())
 }
 
 // Async is the message-style echo service. It implements httpx.Handler.

@@ -75,8 +75,8 @@ func newRig(t *testing.T, clientFirewalled bool) *rig {
 
 func TestRPCEchoRoundTrip(t *testing.T) {
 	r := newRig(t, false)
-	body, _ := soap.RPCRequest(soap.V11, EchoNS, EchoOp,
-		soap.Param{Name: "message", Value: "ping-1"}).Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, EchoNS, EchoOp,
+		soap.Param{Name: "message", Value: "ping-1"})
 	req := httpx.NewRequest("POST", "/", body)
 	req.Header.Set("Content-Type", soap.V11.ContentType())
 	resp, err := r.client.Do("ws:80", req)
@@ -120,8 +120,8 @@ func TestRPCEchoRejectsGarbage(t *testing.T) {
 func TestRPCEchoServiceTimeCharged(t *testing.T) {
 	r := newRig(t, false)
 	r.rpc.ServiceTime = 300 * time.Millisecond
-	body, _ := soap.RPCRequest(soap.V11, EchoNS, EchoOp,
-		soap.Param{Name: "message", Value: "x"}).Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, EchoNS, EchoOp,
+		soap.Param{Name: "message", Value: "x"})
 	start := r.clk.Now()
 	if _, err := r.client.Do("ws:80", httpx.NewRequest("POST", "/", body)); err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func runFig4Point(opt Fig4Options, clients int, viaDispatcher bool) stats.RunRep
 		targetAddr, targetPath = "wsd:9000", "/rpc/echo"
 	}
 
-	body := mustEnvelope(soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
+	body := mustRPC(soap.AppendRPC(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp,
 		soap.Param{Name: "message", Value: strings.Repeat("x", 64)}))
 
 	// One HTTP client (one kept-alive connection) per simulated client,
@@ -169,8 +169,7 @@ func FormatFig4(rows []Fig4Row) string {
 	return b.String()
 }
 
-func mustEnvelope(env *soap.Envelope) []byte {
-	raw, err := env.Marshal()
+func mustRPC(raw []byte, err error) []byte {
 	if err != nil {
 		panic(err)
 	}

@@ -104,7 +104,7 @@ func runFig5Point(opt Fig5Options, clients int, viaDispatcher bool) stats.RunRep
 		targetAddr, targetPath = "wsd:9000", "/rpc/echo"
 	}
 
-	body := mustEnvelope(soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
+	body := mustRPC(soap.AppendRPC(nil, soap.V11, echoservice.EchoNS, echoservice.EchoOp,
 		soap.Param{Name: "message", Value: strings.Repeat("x", 64)}))
 
 	clientsPool := make([]*httpx.Client, clients)

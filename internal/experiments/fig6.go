@@ -226,10 +226,7 @@ func RunFig6Point(opt Fig6Options, clients int, series Fig6Series) stats.RunRepo
 // createMailbox provisions one mailbox over the management RPC and
 // returns its delivery address.
 func createMailbox(tb *testbed, client *httpx.Client) string {
-	body, err := soap.RPCRequest(soap.V11, msgbox.ServiceNS, msgbox.OpCreate).Marshal()
-	if err != nil {
-		panic(err)
-	}
+	body := mustRPC(soap.AppendRPC(nil, soap.V11, msgbox.ServiceNS, msgbox.OpCreate))
 	req := httpx.NewRequest("POST", "/mbox", body)
 	req.Header.Set("Content-Type", soap.V11.ContentType())
 	resp, err := client.Do("wsd:9200", req)
@@ -237,11 +234,7 @@ func createMailbox(tb *testbed, client *httpx.Client) string {
 		panic(fmt.Sprintf("fig6: mailbox create: %v", err))
 	}
 	defer resp.Release()
-	env, err := soap.Parse(resp.Body)
-	if err != nil {
-		panic(err)
-	}
-	results, err := soap.ParseRPCResponse(env, msgbox.OpCreate)
+	results, err := soap.DecodeRPCResponse(resp.Body, msgbox.OpCreate, nil)
 	if err != nil {
 		panic(err)
 	}

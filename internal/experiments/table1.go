@@ -203,8 +203,8 @@ func runMailboxConversation(tb *testbed, httpCli *httpx.Client, rpcCli *client.R
 	}
 	var body *xmlsoap.Element
 	if rpcBridge {
-		body = soap.RPCRequest(soap.V11, echoservice.EchoNS, echoservice.EchoOp,
-			soap.Param{Name: "message", Value: payload}).BodyElement()
+		body = xmlsoap.New(echoservice.EchoNS, echoservice.EchoOp).
+			Add(xmlsoap.NewText("", "message", payload))
 	} else {
 		body = xmlsoap.NewText(echoservice.EchoNS, "echo", payload)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // TestExactLineTrimming pins the one-terminator rule: parsing strips
@@ -128,6 +129,58 @@ func TestCanonicalKeyEdgeCases(t *testing.T) {
 		if got := CanonicalKey(c.want); got != c.want {
 			t.Errorf("CanonicalKey(%q) = %q, not idempotent", c.want, got)
 		}
+	}
+}
+
+// TestSameKeyAgreesWithCanonicalKey holds sameKey's one-pass fold to
+// its definition, CanonicalKey(a) == CanonicalKey(b): a table of ASCII,
+// mixed-case, different-length and non-ASCII keys (the Kelvin sign
+// U+212A lowercases to 'k', U+0130 to 'i', so keys of different byte
+// lengths can name one header), then random keys over an alphabet of the
+// same troublemakers.
+func TestSameKeyAgreesWithCanonicalKey(t *testing.T) {
+	keys := []string{
+		"", "-", "a", "A", "k", "K", "Host", "host", "HOST", "Hos", "Hostx",
+		"Content-Type", "content-type", "CONTENT-TYPE", "Content-Length",
+		"content_type", "SOAPAction", "soapaction", "SOAPACTION", "SOAPActio",
+		"soapactİon", "soapactİon", "WWW-Authenticate", "www-authenticate",
+		"K", "Key", "Key", "key", "KEY", "x-K", "X-k", "x-k",
+		"KK", "kk", "aÿb", "Aÿb", "aÿc", "ÿ", "Ã", "é", "É",
+		"x-é", "X-É", "long-key-with-many-segments", "Long-Key-With-Many-Segments",
+	}
+	check := func(a, b string) bool {
+		want := CanonicalKey(a) == CanonicalKey(b)
+		if got := sameKey(a, b); got != want {
+			t.Errorf("sameKey(%q, %q) = %v; canonical forms %q, %q", a, b, got, CanonicalKey(a), CanonicalKey(b))
+			return false
+		}
+		return true
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			check(a, b)
+		}
+	}
+	alphabet := []string{"a", "A", "k", "K", "K", "i", "I", "İ", "s", "S", "ſ", "-", "_", "1", "é", "É", "ÿ"}
+	f := func(x, y []uint8) bool {
+		var a, b strings.Builder
+		for _, c := range x {
+			a.WriteString(alphabet[int(c)%len(alphabet)])
+		}
+		for i, c := range y {
+			// Mostly fold-equal to a, so matches and near misses both occur.
+			if i < len(x) && c%4 != 0 {
+				c = x[i]
+				if c%2 == 0 {
+					c++
+				}
+			}
+			b.WriteString(alphabet[int(c)%len(alphabet)])
+		}
+		return check(a.String(), b.String())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package httpx
 import (
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // headerKV is one header field as it appeared on the wire (or as Set stored
@@ -100,16 +101,6 @@ func isCanonicalKey(k string) bool {
 	return true
 }
 
-// isASCII reports whether s contains only single-byte characters.
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
 // asciiEqualFold reports whether a and b are equal under ASCII case
 // folding only. It allocates nothing and never considers Unicode fold
 // pairs (so the Kelvin sign does not match 'k', which is what HTTP wants).
@@ -133,17 +124,38 @@ func asciiEqualFold(a, b string) bool {
 }
 
 // sameKey reports whether two header-key spellings name the same header:
-// equal canonical forms. The hot path — both spellings pure ASCII, which is
-// every key real HTTP traffic carries — is a byte-wise case-insensitive
-// compare with no allocation. Keys with non-ASCII bytes (fuzzer territory)
-// fall back to comparing canonical forms, because Unicode case mapping can
-// identify byte strings ASCII folding cannot (U+212A 'K' lowercases to
-// 'k'), and the frozen map oracle deduplicated by exactly that relation.
+// equal canonical forms. One pass folds ASCII case byte by byte, with no
+// allocation, and answers at the first ASCII mismatch: up to there both
+// keys are ASCII and canonicalize byte for byte alike, so the canonical
+// forms differ there too. Only a byte >= 0x80 met first falls back to
+// comparing canonical forms, because Unicode case mapping can identify
+// byte strings ASCII folding cannot (U+212A 'K' lowercases to 'k'), and
+// the frozen map oracle deduplicated by exactly that relation. A key
+// that is an ASCII prefix of a longer one never matches it: the longer
+// key canonicalizes to more characters.
 func sameKey(a, b string) bool {
-	if isASCII(a) && isASCII(b) {
-		return asciiEqualFold(a, b)
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	return CanonicalKey(a) == CanonicalKey(b)
+	for i := 0; i < len(a); i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			return CanonicalKey(a) == CanonicalKey(b)
+		}
+		if ca == cb {
+			continue
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // at returns the i'th field.

@@ -23,10 +23,10 @@ func takeTranscript(t *testing.T) []byte {
 	}
 	var out bytes.Buffer
 	for _, max := range []string{"2", "10", "10"} {
-		body, _ := soap.RPCRequest(soap.V11, ServiceNS, OpTake,
+		body, _ := soap.AppendRPC(nil, soap.V11, ServiceNS, OpTake,
 			soap.Param{Name: "boxId", Value: id},
 			soap.Param{Name: "token", Value: token},
-			soap.Param{Name: "max", Value: max}).Marshal()
+			soap.Param{Name: "max", Value: max})
 		req := httpx.NewRequest("POST", "/mbox", body)
 		req.Header.Set("Content-Type", soap.V11.ContentType())
 		resp, err := r.client.Do("po:9200", req)

@@ -232,11 +232,12 @@ func TestLongPollWaitParam(t *testing.T) {
 		if tc.wait != "" {
 			params = append(params, soap.Param{Name: "wait", Value: tc.wait})
 		}
-		call, err := soap.ParseRPC(soap.RPCRequest(soap.V11, ServiceNS, OpTake, params...))
+		raw, _ := soap.AppendRPC(nil, soap.V11, ServiceNS, OpTake, params...)
+		call, _, err := soap.DecodeRPC(raw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := takeWait(call); got != tc.want {
+		if got := takeWait(&call); got != tc.want {
 			t.Errorf("wait=%q: takeWait = %v, want %v", tc.wait, got, tc.want)
 		}
 	}

@@ -39,7 +39,10 @@
 // them; after a restart those alias the store's WAL read buffers, so a
 // restart copies no payload, and a buffer is freed once every message
 // recovered from it has been taken. Nothing parked holds a pooled
-// buffer.
+// buffer. The management calls are read with soap.DecodeRPC and answered
+// with soap.AppendRPCResponse, with no element tree; a take escapes each
+// parked payload straight from the shared slice into the pooled response
+// buffer, with no copy in between.
 //
 // # Take
 //
@@ -87,6 +90,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/wsa"
+	"repro/internal/xmlsoap"
 )
 
 // metaDest is the pseudo-destination under which mailbox metadata
@@ -356,13 +360,13 @@ func (s *Service) storeMessage(mb *Mailbox, payload []byte) error {
 // --- management RPC path (steps 1, 3, 4 in Figure 2) ---
 
 func (s *Service) serveRPC(ex *httpx.Exchange) {
-	env, err := soap.Parse(ex.Req.Body)
+	var params [4]soap.Param
+	call, v, err := soap.DecodeRPC(ex.Req.Body, params[:0])
 	if err != nil {
-		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad envelope: "+err.Error())
-		return
-	}
-	call, err := soap.ParseRPC(env)
-	if err != nil {
+		if errors.As(err, new(*soap.EnvelopeError)) {
+			soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad envelope: "+err.Error())
+			return
+		}
 		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient, "bad call: "+err.Error())
 		return
 	}
@@ -373,13 +377,13 @@ func (s *Service) serveRPC(ex *httpx.Exchange) {
 	}
 	switch call.Operation {
 	case OpCreate:
-		s.rpcCreate(ex, env.Version)
+		s.rpcCreate(ex, v)
 	case OpTake:
-		s.rpcTake(ex, env.Version, call)
+		s.rpcTake(ex, v, &call)
 	case OpPeek:
-		s.rpcPeek(ex, env.Version, call)
+		s.rpcPeek(ex, v, &call)
 	case OpDestroy:
-		s.rpcDestroy(ex, env.Version, call)
+		s.rpcDestroy(ex, v, &call)
 	default:
 		soap.ReplyFault(ex, httpx.StatusBadRequest, soap.FaultClient,
 			"unknown operation "+call.Operation)
@@ -447,7 +451,9 @@ func (s *Service) rpcTake(ex *httpx.Exchange, v soap.Version, call *soap.Call) {
 	params := make([]soap.Param, 1, 1+len(taken))
 	params[0] = soap.Param{Name: "count", Value: strconv.Itoa(len(taken))}
 	for i, m := range taken {
-		params = append(params, soap.Param{Name: fmt.Sprintf("msg%d", i+1), Value: string(m.payload)})
+		// The payload is read-only and outlives the render in rpcOK, so
+		// the parameter views it instead of copying it.
+		params = append(params, soap.Param{Name: "msg" + strconv.Itoa(i+1), Value: xmlsoap.ZeroCopyString(m.payload)})
 	}
 	rpcOK(ex, v, OpTake, params...)
 }
@@ -547,12 +553,11 @@ func (s *Service) destroy(mb *Mailbox) {
 }
 
 func rpcOK(ex *httpx.Exchange, v soap.Version, op string, params ...soap.Param) {
-	// Mailbox polling (Figure 2 step 3) pays this marshal per poll;
+	// Mailbox polling (Figure 2 step 3) pays this render per poll;
 	// render into a pooled buffer released by the connection after the
 	// reply is written.
-	env := soap.RPCResponse(v, ServiceNS, op, params...)
 	err := ex.Reply(httpx.StatusOK, func(dst []byte) ([]byte, error) {
-		return wsa.AppendEnvelope(dst, env)
+		return soap.AppendRPCResponse(dst, v, ServiceNS, op, params...)
 	})
 	if err != nil {
 		soap.ReplyFault(ex, httpx.StatusInternalServerError, soap.FaultServer, err.Error())

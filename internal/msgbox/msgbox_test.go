@@ -52,7 +52,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 // rpc invokes a mailbox management operation and returns the results.
 func (r *rig) rpc(t *testing.T, op string, params ...soap.Param) ([]soap.Param, *httpx.Response) {
 	t.Helper()
-	body, _ := soap.RPCRequest(soap.V11, ServiceNS, op, params...).Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, ServiceNS, op, params...)
 	req := httpx.NewRequest("POST", "/mbox", body)
 	req.Header.Set("Content-Type", soap.V11.ContentType())
 	resp, err := r.client.Do("po:9200", req)
@@ -217,7 +217,7 @@ func TestUnknownOperationFaults(t *testing.T) {
 
 func TestWrongNamespaceRejected(t *testing.T) {
 	r := newRig(t, Config{})
-	body, _ := soap.RPCRequest(soap.V11, "urn:other", OpCreate).Marshal()
+	body, _ := soap.AppendRPC(nil, soap.V11, "urn:other", OpCreate)
 	resp, err := r.client.Do("po:9200", httpx.NewRequest("POST", "/mbox", body))
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +320,28 @@ func TestStoreRefusalFaultsDeposit(t *testing.T) {
 	}
 }
 
+// TestClosedStoreFaultsDeposit: a deposit into a box whose store was
+// closed is refused with a 503 fault, not accepted into memory alone.
+func TestClosedStoreFaultsDeposit(t *testing.T) {
+	st := openDurable(t, filepath.Join(t.TempDir(), "mbox"))
+	r := newRig(t, Config{Store: st})
+	id, _, _ := r.create(t)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp := r.deliver(t, id, "refused")
+	if resp.Status != httpx.StatusServiceUnavailable {
+		t.Fatalf("deliver after Close: status = %d, want 503", resp.Status)
+	}
+	env, _ := soap.Parse(resp.Body)
+	if f, ok := soap.AsFault(env); !ok || !strings.Contains(f.Reason, "store refused") {
+		t.Fatalf("fault = %+v", f)
+	}
+	if r.svc.Stored.Value() != 0 || r.svc.StoreFailures.Value() != 1 {
+		t.Fatalf("Stored = %d, StoreFailures = %d; want 0, 1", r.svc.Stored.Value(), r.svc.StoreFailures.Value())
+	}
+}
+
 // TestPipelinedDepositsKeepArrivalOrder pipelines deposits to one box
 // over one connection, with a take right behind them in the same burst:
 // that take returns every deposit, in send order.
@@ -332,10 +354,10 @@ func TestPipelinedDepositsKeepArrivalOrder(t *testing.T) {
 		raw, _ := soap.New(soap.V11).SetBody(xmlsoap.NewText("urn:x", "stored", fmt.Sprint(i))).Marshal()
 		reqs[i] = httpx.NewRequest("POST", "/mbox/"+id, raw)
 	}
-	take, _ := soap.RPCRequest(soap.V11, ServiceNS, OpTake,
+	take, _ := soap.AppendRPC(nil, soap.V11, ServiceNS, OpTake,
 		soap.Param{Name: "boxId", Value: id},
 		soap.Param{Name: "token", Value: token},
-		soap.Param{Name: "max", Value: fmt.Sprint(n)}).Marshal()
+		soap.Param{Name: "max", Value: fmt.Sprint(n)})
 	reqs[n] = httpx.NewRequest("POST", "/mbox", take)
 	s := r.client.Stream("po:9200")
 	defer s.Close()

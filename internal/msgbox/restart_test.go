@@ -50,7 +50,7 @@ func parkBacklog(tb testing.TB, dir string, n int, body []byte) {
 	}
 	create := &httpx.Exchange{}
 	create.Req.Path = "/mbox"
-	create.Req.Body, _ = soap.RPCRequest(soap.V11, ServiceNS, OpCreate).Marshal()
+	create.Req.Body, _ = soap.AppendRPC(nil, soap.V11, ServiceNS, OpCreate)
 	svc.Serve(create)
 	var boxID string
 	svc.boxes.Range(func(id string, _ *Mailbox) bool { boxID = id; return false })

@@ -2,8 +2,6 @@ package soap
 
 import (
 	"fmt"
-
-	"repro/internal/xmlsoap"
 )
 
 // Param is one named RPC parameter. Values are string-typed — the echo and
@@ -13,25 +11,6 @@ import (
 type Param struct {
 	Name  string
 	Value string
-}
-
-// RPCRequest builds a SOAP-RPC request envelope: one wrapper element named
-// after the operation in the service namespace, one child per parameter.
-func RPCRequest(v Version, serviceNS, operation string, params ...Param) *Envelope {
-	wrapper := xmlsoap.New(serviceNS, operation)
-	for _, p := range params {
-		wrapper.Add(xmlsoap.NewText("", p.Name, p.Value))
-	}
-	return New(v).SetBody(wrapper)
-}
-
-// RPCResponse builds the conventional <opResponse> envelope.
-func RPCResponse(v Version, serviceNS, operation string, results ...Param) *Envelope {
-	wrapper := xmlsoap.New(serviceNS, operation+"Response")
-	for _, p := range results {
-		wrapper.Add(xmlsoap.NewText("", p.Name, p.Value))
-	}
-	return New(v).SetBody(wrapper)
 }
 
 // Call is a decoded RPC request: operation name, service namespace, and
@@ -52,37 +31,51 @@ func (c *Call) Param(name string) (string, bool) {
 	return "", false
 }
 
-// ParseRPC decodes the RPC wrapper from an envelope body.
+// ParseRPC decodes the RPC wrapper from an envelope body. DecodeRPC
+// reads the same call straight from bytes and falls back to Parse and
+// ParseRPC.
 func ParseRPC(e *Envelope) (*Call, error) {
+	call, err := readCall(e, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &call, nil
+}
+
+// readCall is ParseRPC appending the parameters to params.
+func readCall(e *Envelope, params []Param) (Call, error) {
 	body := e.BodyElement()
 	if body == nil {
-		return nil, fmt.Errorf("soap: empty RPC body")
+		return Call{}, fmt.Errorf("soap: empty RPC body")
 	}
 	if f, ok := AsFault(e); ok {
-		return nil, f
+		return Call{}, f
 	}
-	call := &Call{ServiceNS: body.Name.Space, Operation: body.Name.Local}
 	for _, p := range body.Children {
-		call.Params = append(call.Params, Param{Name: p.Name.Local, Value: p.Text})
+		params = append(params, Param{Name: p.Name.Local, Value: p.Text})
 	}
-	return call, nil
+	return Call{ServiceNS: body.Name.Space, Operation: body.Name.Local, Params: params}, nil
 }
 
 // ParseRPCResponse decodes an <opResponse> envelope, returning the result
 // parameters. A fault in the body is returned as *Fault error.
 func ParseRPCResponse(e *Envelope, operation string) ([]Param, error) {
+	return readResponse(e, operation, nil)
+}
+
+// readResponse is ParseRPCResponse appending the results to out.
+func readResponse(e *Envelope, operation string, out []Param) ([]Param, error) {
 	if f, ok := AsFault(e); ok {
-		return nil, f
+		return out, f
 	}
 	body := e.BodyElement()
 	if body == nil {
-		return nil, fmt.Errorf("soap: empty RPC response body")
+		return out, fmt.Errorf("soap: empty RPC response body")
 	}
 	if body.Name.Local != operation+"Response" {
-		return nil, fmt.Errorf("soap: unexpected RPC response element %s (want %sResponse)",
+		return out, fmt.Errorf("soap: unexpected RPC response element %s (want %sResponse)",
 			body.Name, operation)
 	}
-	var out []Param
 	for _, p := range body.Children {
 		out = append(out, Param{Name: p.Name.Local, Value: p.Text})
 	}

@@ -134,10 +134,9 @@ func TestFaultIsError(t *testing.T) {
 }
 
 func TestRPCRequestRoundTrip(t *testing.T) {
-	env := RPCRequest(V11, "urn:echo", "echo",
+	raw, _ := AppendRPC(nil, V11, "urn:echo", "echo",
 		Param{Name: "message", Value: "ping"},
 		Param{Name: "seq", Value: "42"})
-	raw, _ := env.Marshal()
 	back, err := Parse(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +160,7 @@ func TestRPCRequestRoundTrip(t *testing.T) {
 }
 
 func TestRPCResponseRoundTrip(t *testing.T) {
-	env := RPCResponse(V11, "urn:echo", "echo", Param{Name: "return", Value: "pong"})
-	raw, _ := env.Marshal()
+	raw, _ := AppendRPCResponse(nil, V11, "urn:echo", "echo", Param{Name: "return", Value: "pong"})
 	back, _ := Parse(raw)
 	results, err := ParseRPCResponse(back, "echo")
 	if err != nil {
@@ -174,7 +172,7 @@ func TestRPCResponseRoundTrip(t *testing.T) {
 }
 
 func TestRPCResponseWrongOperation(t *testing.T) {
-	env := RPCResponse(V11, "urn:echo", "echo")
+	env := New(V11).SetBody(xmlsoap.New("urn:echo", "echoResponse"))
 	if _, err := ParseRPCResponse(env, "other"); err == nil {
 		t.Fatal("mismatched response accepted")
 	}
@@ -233,7 +231,7 @@ func TestQuickRPCParamRoundTrip(t *testing.T) {
 		for i, v := range vals {
 			params = append(params, Param{Name: "p" + string(rune('a'+i%26)), Value: sanitize(v)})
 		}
-		raw, err := RPCRequest(V11, "urn:q", "op", params...).Marshal()
+		raw, err := AppendRPC(nil, V11, "urn:q", "op", params...)
 		if err != nil {
 			return false
 		}
@@ -257,5 +255,25 @@ func TestQuickRPCParamRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeCanonicalReadsAppendRPC keeps the byte path honest: every
+// envelope AppendRPC writes with a generated wrapper prefix is read
+// without the Parse fallback, whatever its values hold.
+func TestDecodeCanonicalReadsAppendRPC(t *testing.T) {
+	values := []string{"", "plain", "a&b<c>d\"e'f", "\r\n\t x", "  ", "héllo ✓", "]]"}
+	for _, v := range []Version{V11, V12} {
+		for _, val := range values {
+			raw, _ := AppendRPC(nil, v, "urn:wsd:echo", "echoMessage",
+				Param{Name: "message", Value: val}, Param{Name: "seq", Value: "1"})
+			if _, _, _, _, ok := decodeCanonical(raw, nil); !ok {
+				t.Errorf("byte path declined %q", raw)
+			}
+			raw, _ = AppendRPCResponse(nil, v, "urn:wsd:echo", "echoMessage")
+			if _, _, _, _, ok := decodeCanonical(raw, nil); !ok {
+				t.Errorf("byte path declined %q", raw)
+			}
+		}
 	}
 }

@@ -37,6 +37,7 @@ func (m *Message) Expired(now time.Time) bool {
 var (
 	ErrDuplicate = errors.New("store: duplicate message id")
 	ErrNotFound  = errors.New("store: message not found")
+	ErrClosed    = errors.New("store: closed")
 )
 
 // WAL record ops. One record = op byte + op-specific body; records are
@@ -118,6 +119,9 @@ type Store struct {
 	byID   map[string]*entry
 	byDest map[string]*queue
 	log    *wal.Log // nil for a purely in-memory store
+	// closed is set when Close releases the log: from then on every
+	// mutation fails with ErrClosed instead of running unlogged.
+	closed bool
 
 	// Staging for the zero-alloc WAL encode: the encode callback is one
 	// cached method value (encFn) reading these fields, set under mu
@@ -193,7 +197,10 @@ func Open(clk clock.Clock, dir string, opts Options) (*Store, error) {
 }
 
 // Close waits out a compaction in flight, then syncs and releases the
-// backing log, if any.
+// backing log, if any. After a durable store is closed, Put, Delete and
+// MarkAttempt fail with ErrClosed and Sweep removes nothing, so no
+// caller is told a change is durable when it is not; an in-memory
+// store keeps working.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,7 +209,7 @@ func (s *Store) Close() error {
 	}
 	if s.log != nil {
 		err := s.log.Close()
-		s.log = nil
+		s.log, s.closed = nil, true
 		return err
 	}
 	return nil
@@ -358,6 +365,9 @@ func takeField(b []byte) (field, rest []byte, ok bool) {
 // the operation did not happen.
 func (s *Store) appendStagedLocked() error {
 	if s.log == nil {
+		if s.closed {
+			return ErrClosed
+		}
 		return nil
 	}
 	return s.log.Append(s.encFn)
@@ -519,6 +529,9 @@ func (s *Store) Sweep() int {
 	now := s.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return 0
+	}
 	var dead []*entry
 	for _, e := range s.byID {
 		if e.Expired(now) {

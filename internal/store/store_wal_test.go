@@ -13,6 +13,50 @@ import (
 	"repro/internal/wal"
 )
 
+// TestClosedStoreRefusesMutations: after Close, a durable store fails
+// every mutation with ErrClosed and keeps its state, instead of running
+// on unlogged as an in-memory store; a store from New is unaffected.
+func TestClosedStoreRefusesMutations(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	s, err := Open(clk, filepath.Join(t.TempDir(), "wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		if err := s.Put(&Message{ID: id, Destination: "d", Payload: []byte(id), Expires: clk.Now().Add(time.Second)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(&Message{ID: "c", Destination: "d"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close: %v, want ErrClosed", err)
+	}
+	if err := s.Delete("a"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Delete after Close: %v, want ErrClosed", err)
+	}
+	if err := s.MarkAttempt("b"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("MarkAttempt after Close: %v, want ErrClosed", err)
+	}
+	clk.Advance(time.Minute)
+	if n := s.Sweep(); n != 0 {
+		t.Fatalf("Sweep after Close removed %d", n)
+	}
+	if n := s.Len(); n != 2 {
+		t.Fatalf("Len after refused mutations = %d, want 2", n)
+	}
+	if m, err := s.Get("b"); err != nil || m.Attempts != 0 {
+		t.Fatalf("Get(b) = %+v, %v; want the message unchanged", m, err)
+	}
+
+	mem := New(clk)
+	mem.Close()
+	if err := mem.Put(&Message{ID: "x", Destination: "d"}); err != nil {
+		t.Fatalf("in-memory Put after Close: %v", err)
+	}
+}
+
 // TestWALErrorsSurface pins the satellite fix: with the log unable to
 // accept records, Put/Delete/MarkAttempt report the failure and leave
 // memory untouched — the old store swallowed log errors and carried on.
