@@ -10,30 +10,24 @@
 // ordering that matters (serialization delays, propagation delays, TCP-style
 // timeouts).
 //
-// # The timer wheel
+// # Timers
 //
-// Both clocks schedule timers on a hashed timing wheel (Varghese & Lauck):
-// 512 slots of intrusive doubly-linked lists plus an overflow min-heap for
-// deadlines beyond the wheel's horizon. Timer structs embed their wheel
-// entry, so NewTimer costs two allocations (the Timer and its channel),
-// AfterFunc one, and Stop/Reset zero — re-arming a hold-open or deadline
-// timer on the hot path is two list links under a lock.
-//
-// Granularity and ordering guarantees:
-//
-//   - Real runs one lazily-started wheel goroutine for the whole process
-//     with a 1ms tick: a timer never fires before its deadline, and fires
-//     at most one tick (plus goroutine scheduling latency) late. Timers
-//     due within the same tick fire as one batch.
-//   - Virtual is advanced by the virtual scheduler to exact deadlines:
-//     tick granularity never delays or reorders a fire.
-//   - Within a fire batch, timers fire in (deadline, registration order) —
-//     exactly the order the pre-wheel heap implementation used, which the
-//     clock/wheeltest differential suite and FuzzVirtualWheel pin against
-//     the frozen internal/clock/refclock oracle.
-//   - Timer.Reset keeps time.Timer's stale-fire caveat: a fire in flight
-//     when Reset runs can still land on C. Callers that re-arm without
-//     draining must filter by deadline (see the WsThread hold-open loop).
+//   - Real timers are the runtime's own: NewTimer and AfterFunc wrap
+//     time.NewTimer and time.AfterFunc, and Timer.C is the runtime
+//     channel. Under go 1.23+ timer semantics (go.mod says 1.24), Stop
+//     and Reset discard an undelivered fire, so a Real timer never hands
+//     a stale value to the next wait.
+//   - Virtual timers sit on one binary min-heap per clock, keyed by
+//     (deadline, registration order); a Timer records its heap index, so
+//     Stop and Reset are O(log n) and allocate nothing. Due timers leave
+//     the heap in exactly that order, the order the frozen
+//     internal/clock/refclock oracle fires in; the clock/clocktest
+//     differential suite and FuzzVirtualDifferential pin the two together.
+//   - Virtual C is buffered and a fire is delivered outside the clock's
+//     lock, so Virtual keeps time.Timer's pre-1.23 stale-fire caveat: a
+//     fire already in C, or in flight when Stop or Reset runs, stays there
+//     and can satisfy the next wait. Callers that re-arm without draining
+//     must filter wakes by deadline (see the WsThread hold-open loop).
 package clock
 
 import "time"
@@ -58,84 +52,64 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// timerSource is the scheduling backend a Timer was created on: the
-// process-wide Real wheel or a Virtual clock.
-type timerSource interface {
-	stopTimer(t *Timer) bool
-	resetTimer(t *Timer, d time.Duration) bool
-}
-
 // Timer is a cancellable single-shot timer bound to a Clock. When the timer
 // fires, the clock's current time is sent on C (unless the timer was created
 // by AfterFunc, in which case the callback runs instead).
 //
-// The wheel entry is embedded: a Timer is one object linked directly into
-// its clock's wheel, so Stop and Reset allocate nothing — experiment
+// A Real timer wraps a runtime timer; a Virtual timer is its own heap
+// entry, so Stop and Reset allocate nothing on either clock — experiment
 // workloads create and re-arm timers by the hundred thousand.
 type Timer struct {
 	// C receives the fire time for channel-based timers. Nil for
 	// AfterFunc timers.
 	C <-chan time.Time
 
-	ch  chan time.Time // send side of C; nil for AfterFunc timers
-	f   func()         // AfterFunc callback; nil for channel timers
-	src timerSource
-	w   wtimer
-}
+	rt *time.Timer // the runtime timer behind a Real timer
+	v  *Virtual    // the clock a Virtual timer is scheduled on
 
-// newTimer builds the shared Timer shell; the caller schedules it.
-func newTimer(src timerSource, f func()) *Timer {
-	t := &Timer{f: f, src: src}
-	if f == nil {
-		t.ch = make(chan time.Time, 1)
-		t.C = t.ch
-	}
-	t.w.t = t
-	t.w.slot, t.w.heapIdx = -1, -1
-	return t
-}
-
-// fire delivers one expiry: the callback on its own goroutine for
-// AfterFunc timers, a non-blocking send otherwise (like time.Timer's
-// sendTime — with Reset reuse a stale fire may still sit in C, and the
-// wheel must never block on it).
-func (t *Timer) fire(at time.Time) {
-	if t.f != nil {
-		go t.f()
-		return
-	}
-	select {
-	case t.ch <- at:
-	default:
-	}
+	// Virtual scheduling state, guarded by v.mu.
+	ch       chan time.Time // send side of C; nil for AfterFunc timers
+	f        func()         // AfterFunc callback; nil for channel timers
+	deadline int64          // absolute ns since the clock's start
+	seq      uint64         // registration order, the fire-order tie-break
+	idx      int            // heap index; -1 when not scheduled
 }
 
 // Stop cancels the timer. It reports whether the call prevented the timer
 // from firing. Stop is idempotent.
 func (t *Timer) Stop() bool {
-	if t == nil || t.src == nil {
+	switch {
+	case t == nil:
 		return false
+	case t.rt != nil:
+		return t.rt.Stop()
+	case t.v != nil:
+		return t.v.stopTimer(t)
 	}
-	return t.src.stopTimer(t)
+	return false
 }
 
 // Reset re-arms the timer to fire after d, reporting whether it was
-// still pending. It carries time.Timer.Reset's caveat: callers that may
-// have let the timer fire must Stop and drain C before Reset, or a
-// stale fire can satisfy the next wait immediately. Loops that would
-// otherwise allocate a fresh timer per iteration (hold-open windows,
-// per-message waits) Reset one timer instead.
+// still pending. On a Virtual clock it carries time.Timer's pre-1.23 caveat:
+// callers that may have let the timer fire must Stop and drain C before
+// Reset, or a stale fire can satisfy the next wait immediately. Loops
+// that would otherwise allocate a fresh timer per iteration (hold-open
+// windows, per-message waits) Reset one timer instead.
 func (t *Timer) Reset(d time.Duration) bool {
-	if t == nil || t.src == nil {
+	switch {
+	case t == nil:
 		return false
+	case t.rt != nil:
+		return t.rt.Reset(d)
+	case t.v != nil:
+		return t.v.startTimer(t, d)
 	}
-	return t.src.resetTimer(t, d)
+	return false
 }
 
-// Real is the wall Clock. Now/Sleep/After/Since delegate to package time;
-// NewTimer and AfterFunc schedule on the shared process-wide timer wheel
-// (one goroutine, 1ms ticks, started on first use). The zero value is
-// ready to use; the package-level Wall variable is a shared instance.
+// Real is the wall Clock: every method delegates to package time. The
+// zero value is ready to use; the package-level Wall variable is a shared
+// instance.
 type Real struct{}
 
 // Wall is the shared wall-clock instance used by daemons (cmd/wsd and
@@ -156,14 +130,11 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // NewTimer implements Clock.
 func (Real) NewTimer(d time.Duration) *Timer {
-	t := newTimer(wallWheel, nil)
-	wallWheel.schedule(t, d)
-	return t
+	rt := time.NewTimer(d)
+	return &Timer{C: rt.C, rt: rt}
 }
 
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) *Timer {
-	t := newTimer(wallWheel, f)
-	wallWheel.schedule(t, d)
-	return t
+	return &Timer{rt: time.AfterFunc(d, f)}
 }

@@ -1,8 +1,8 @@
-// Package wheeltest is the differential fence for the hashed timer
-// wheel: randomized fixed-seed schedules of NewTimer/Stop/Reset/AfterFunc
-// run against the frozen pre-wheel implementation (internal/clock/refclock
-// — time.Timer-backed Real, heap-based Virtual), asserting identical
-// fire/cancel verdicts and fire ordering on both clocks.
+// Package clocktest is the differential fence for package clock:
+// randomized fixed-seed schedules of NewTimer/Stop/Reset/AfterFunc run
+// against the frozen reference implementation (internal/clock/refclock —
+// time.Timer-backed Real, container/heap-backed Virtual), asserting
+// identical fire/cancel verdicts and fire ordering on both clocks.
 //
 // Virtual comparisons are fully deterministic: both clocks are created
 // and immediately Stop()ped, which kills the auto-advancing pump while
@@ -11,9 +11,9 @@
 // op-by-op. Real comparisons issue all Stop/Reset ops up front — long
 // before the earliest deadline — so verdicts cannot race in-flight
 // fires, then compare which timers fired and in what order with
-// deadlines spaced far enough apart that the wheel's 1ms tick cannot
-// legally reorder them.
-package wheeltest
+// deadlines spaced far enough apart that scheduling latency cannot
+// reorder them.
+package clocktest
 
 import (
 	"math/rand"
@@ -27,15 +27,15 @@ import (
 
 // timerPair is one timer created on both implementations.
 type timerPair struct {
-	wheel   *clock.Timer
+	impl    *clock.Timer
 	oracle  *refclock.Timer
 	stopped bool // armed state per our own bookkeeping (for reporting only)
 }
 
-// virtualPair is a wheel Virtual and an oracle Virtual in lockstep, both
+// virtualPair is a clock Virtual and an oracle Virtual in lockstep, both
 // with their pumps stopped.
 type virtualPair struct {
-	wheel  *clock.Virtual
+	impl   *clock.Virtual
 	oracle *refclock.Virtual
 	start  time.Time
 }
@@ -43,13 +43,13 @@ type virtualPair struct {
 func newVirtualPair() *virtualPair {
 	start := time.Unix(0, 0)
 	p := &virtualPair{
-		wheel:  clock.NewVirtual(start),
+		impl:   clock.NewVirtual(start),
 		oracle: refclock.NewVirtual(start),
 		start:  start,
 	}
 	// Kill both pumps: time moves only through Advance, making every
 	// fire synchronous and the whole schedule deterministic.
-	p.wheel.Stop()
+	p.impl.Stop()
 	p.oracle.Stop()
 	return p
 }
@@ -62,7 +62,7 @@ func (p *virtualPair) drain(t *testing.T, i int, tp *timerPair) {
 		var wAt, oAt time.Time
 		wOK, oOK := false, false
 		select {
-		case wAt = <-tp.wheel.C:
+		case wAt = <-tp.impl.C:
 			wOK = true
 		default:
 		}
@@ -72,23 +72,23 @@ func (p *virtualPair) drain(t *testing.T, i int, tp *timerPair) {
 		default:
 		}
 		if wOK != oOK {
-			t.Fatalf("timer %d: wheel fired=%v oracle fired=%v", i, wOK, oOK)
+			t.Fatalf("timer %d: clock fired=%v oracle fired=%v", i, wOK, oOK)
 		}
 		if !wOK {
 			return
 		}
 		if !wAt.Equal(oAt) {
-			t.Fatalf("timer %d: wheel fired at %v, oracle at %v",
+			t.Fatalf("timer %d: clock fired at %v, oracle at %v",
 				i, wAt.Sub(p.start), oAt.Sub(p.start))
 		}
 	}
 }
 
-// TestVirtualWheelDifferential replays randomized fixed-seed schedules
-// of create/stop/reset/advance on the wheel-backed Virtual and the
+// TestVirtualDifferential replays randomized fixed-seed schedules
+// of create/stop/reset/advance on the heap-backed Virtual and the
 // frozen heap-backed oracle, asserting identical Stop/Reset verdicts and
 // identical fire times after every advance.
-func TestVirtualWheelDifferential(t *testing.T) {
+func TestVirtualDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newVirtualPair()
@@ -99,15 +99,15 @@ func TestVirtualWheelDifferential(t *testing.T) {
 			case r < 4: // create
 				d := time.Duration(rng.Intn(2000)-20) * time.Millisecond
 				timers = append(timers, &timerPair{
-					wheel:  p.wheel.NewTimer(d),
+					impl:   p.impl.NewTimer(d),
 					oracle: p.oracle.NewTimer(d),
 				})
 			case r < 6 && len(timers) > 0: // stop
 				tp := timers[rng.Intn(len(timers))]
-				wv := tp.wheel.Stop()
+				wv := tp.impl.Stop()
 				ov := tp.oracle.Stop()
 				if wv != ov {
-					t.Fatalf("seed %d op %d: Stop verdict wheel=%v oracle=%v (stopped=%v)",
+					t.Fatalf("seed %d op %d: Stop verdict clock=%v oracle=%v (stopped=%v)",
 						seed, op, wv, ov, tp.stopped)
 				}
 				tp.stopped = true
@@ -119,19 +119,19 @@ func TestVirtualWheelDifferential(t *testing.T) {
 				// (pinned separately in TestResetStaleFire*) cannot
 				// desynchronize the channel comparison.
 				p.drain(t, -1, tp)
-				wv := tp.wheel.Reset(d)
+				wv := tp.impl.Reset(d)
 				ov := tp.oracle.Reset(d)
 				if wv != ov {
-					t.Fatalf("seed %d op %d: Reset verdict wheel=%v oracle=%v",
+					t.Fatalf("seed %d op %d: Reset verdict clock=%v oracle=%v",
 						seed, op, wv, ov)
 				}
 				tp.stopped = false
 			default: // advance
 				d := time.Duration(rng.Intn(700)) * time.Millisecond
-				p.wheel.Advance(d)
+				p.impl.Advance(d)
 				p.oracle.Advance(d)
-				if wp, op_ := p.wheel.Pending(), p.oracle.Pending(); wp != op_ {
-					t.Fatalf("seed %d op %d: Pending wheel=%d oracle=%d", seed, op, wp, op_)
+				if wp, op_ := p.impl.Pending(), p.oracle.Pending(); wp != op_ {
+					t.Fatalf("seed %d op %d: Pending clock=%d oracle=%d", seed, op, wp, op_)
 				}
 				for i, tp := range timers {
 					p.drain(t, i, tp)
@@ -139,7 +139,7 @@ func TestVirtualWheelDifferential(t *testing.T) {
 			}
 		}
 		// Flush everything still pending and compare the tail.
-		p.wheel.Advance(time.Hour)
+		p.impl.Advance(time.Hour)
 		p.oracle.Advance(time.Hour)
 		for i, tp := range timers {
 			p.drain(t, i, tp)
@@ -147,13 +147,13 @@ func TestVirtualWheelDifferential(t *testing.T) {
 	}
 }
 
-// TestVirtualWheelAfterFuncOrdering drives AfterFunc timers on both
+// TestVirtualAfterFuncOrdering drives AfterFunc timers on both
 // Virtuals and asserts the callbacks observe the same total order. The
-// wheel fires a batch in (deadline, registration) order on the advancing
+// clock fires a batch in (deadline, registration) order on the advancing
 // goroutine, but each callback runs on its own goroutine (time.AfterFunc
 // semantics), so ordering is reconstructed from the virtual fire times
 // recorded by the callbacks, which are exact on both implementations.
-func TestVirtualWheelAfterFuncOrdering(t *testing.T) {
+func TestVirtualAfterFuncOrdering(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed * 77))
 		p := newVirtualPair()
@@ -163,7 +163,7 @@ func TestVirtualWheelAfterFuncOrdering(t *testing.T) {
 			at  time.Duration
 		}
 		var mu sync.Mutex
-		var wheelLog, oracleLog []firing
+		var implLog, oracleLog []firing
 		var wg sync.WaitGroup
 
 		n := 60
@@ -171,9 +171,9 @@ func TestVirtualWheelAfterFuncOrdering(t *testing.T) {
 			d := time.Duration(rng.Intn(500)) * time.Millisecond
 			idx := i
 			wg.Add(2)
-			p.wheel.AfterFunc(d, func() {
+			p.impl.AfterFunc(d, func() {
 				mu.Lock()
-				wheelLog = append(wheelLog, firing{idx, d})
+				implLog = append(implLog, firing{idx, d})
 				mu.Unlock()
 				wg.Done()
 			})
@@ -184,7 +184,7 @@ func TestVirtualWheelAfterFuncOrdering(t *testing.T) {
 				wg.Done()
 			})
 		}
-		p.wheel.Advance(time.Hour)
+		p.impl.Advance(time.Hour)
 		p.oracle.Advance(time.Hour)
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
@@ -204,25 +204,25 @@ func TestVirtualWheelAfterFuncOrdering(t *testing.T) {
 			}
 			return m
 		}
-		wm, om := index(wheelLog), index(oracleLog)
+		wm, om := index(implLog), index(oracleLog)
 		if len(wm) != n || len(om) != n {
-			t.Fatalf("seed %d: wheel fired %d, oracle fired %d, want %d", seed, len(wm), len(om), n)
+			t.Fatalf("seed %d: clock fired %d, oracle fired %d, want %d", seed, len(wm), len(om), n)
 		}
 		for idx, at := range wm {
 			if om[idx] != at {
-				t.Fatalf("seed %d: timer %d wheel fire at %v, oracle at %v", seed, idx, at, om[idx])
+				t.Fatalf("seed %d: timer %d clock fire at %v, oracle at %v", seed, idx, at, om[idx])
 			}
 		}
 	}
 }
 
-// TestRealWheelDifferential runs a fixed-seed schedule against the
+// TestRealDifferential runs a fixed-seed schedule against the
 // frozen time.Timer-backed Real oracle. All Stop/Reset decisions are
 // made up front — milliseconds before the earliest deadline — so their
 // verdicts are deterministic; then both implementations run out the
 // schedule in real time and must agree on exactly which timers fired.
-func TestRealWheelDifferential(t *testing.T) {
-	wheelClk := clock.Real{}
+func TestRealDifferential(t *testing.T) {
+	implClk := clock.Real{}
 	oracleClk := refclock.Real{}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed * 131))
@@ -234,7 +234,7 @@ func TestRealWheelDifferential(t *testing.T) {
 			// within a few ms, far from the earliest deadline.
 			d := time.Duration(60+rng.Intn(140)) * time.Millisecond
 			timers[i] = &timerPair{
-				wheel:  wheelClk.NewTimer(d),
+				impl:   implClk.NewTimer(d),
 				oracle: oracleClk.NewTimer(d),
 			}
 			expectFire[i] = true
@@ -244,25 +244,25 @@ func TestRealWheelDifferential(t *testing.T) {
 			tp := timers[i]
 			switch rng.Intn(2) {
 			case 0:
-				wv, ov := tp.wheel.Stop(), tp.oracle.Stop()
+				wv, ov := tp.impl.Stop(), tp.oracle.Stop()
 				if wv != ov {
-					t.Fatalf("seed %d: Stop verdict wheel=%v oracle=%v", seed, wv, ov)
+					t.Fatalf("seed %d: Stop verdict clock=%v oracle=%v", seed, wv, ov)
 				}
 				expectFire[i] = false
 			case 1:
 				d := time.Duration(60+rng.Intn(140)) * time.Millisecond
-				wv, ov := tp.wheel.Reset(d), tp.oracle.Reset(d)
+				wv, ov := tp.impl.Reset(d), tp.oracle.Reset(d)
 				if wv != ov {
-					t.Fatalf("seed %d: Reset verdict wheel=%v oracle=%v", seed, wv, ov)
+					t.Fatalf("seed %d: Reset verdict clock=%v oracle=%v", seed, wv, ov)
 				}
 				expectFire[i] = true
 			}
 		}
-		time.Sleep(250 * time.Millisecond) // past every deadline + wheel tick slack
+		time.Sleep(250 * time.Millisecond) // past every deadline + scheduling slack
 		for i, tp := range timers {
 			var wOK, oOK bool
 			select {
-			case <-tp.wheel.C:
+			case <-tp.impl.C:
 				wOK = true
 			default:
 			}
@@ -272,18 +272,18 @@ func TestRealWheelDifferential(t *testing.T) {
 			default:
 			}
 			if wOK != oOK || wOK != expectFire[i] {
-				t.Fatalf("seed %d timer %d: wheel fired=%v oracle fired=%v want=%v",
+				t.Fatalf("seed %d timer %d: clock fired=%v oracle fired=%v want=%v",
 					seed, i, wOK, oOK, expectFire[i])
 			}
 		}
 	}
 }
 
-// TestRealWheelOrdering pins cross-timer fire order on the Real wheel:
-// AfterFunc callbacks with deadlines spaced 25ms apart — far beyond the
-// 1ms tick plus scheduling slack — must run in deadline order, matching
+// TestRealOrdering pins cross-timer fire order on the Real clock:
+// AfterFunc callbacks with deadlines spaced 25ms apart — far beyond
+// scheduling slack — must run in deadline order, matching
 // the time.Timer oracle's order.
-func TestRealWheelOrdering(t *testing.T) {
+func TestRealOrdering(t *testing.T) {
 	run := func(newAfterFunc func(d time.Duration, f func())) []int {
 		var mu sync.Mutex
 		var log []int
@@ -309,14 +309,14 @@ func TestRealWheelOrdering(t *testing.T) {
 		}
 		return log
 	}
-	wheelLog := run(func(d time.Duration, f func()) { clock.Real{}.AfterFunc(d, f) })
+	implLog := run(func(d time.Duration, f func()) { clock.Real{}.AfterFunc(d, f) })
 	oracleLog := run(func(d time.Duration, f func()) { refclock.Real{}.AfterFunc(d, f) })
-	if wheelLog == nil || oracleLog == nil {
+	if implLog == nil || oracleLog == nil {
 		t.Fatal("callbacks did not all run")
 	}
-	for i := range wheelLog {
-		if wheelLog[i] != i || oracleLog[i] != i {
-			t.Fatalf("fire order: wheel=%v oracle=%v want ascending", wheelLog, oracleLog)
+	for i := range implLog {
+		if implLog[i] != i || oracleLog[i] != i {
+			t.Fatalf("fire order: clock=%v oracle=%v want ascending", implLog, oracleLog)
 		}
 	}
 }

@@ -1,24 +1,24 @@
-package wheeltest
+package clocktest
 
 import (
 	"testing"
 	"time"
 )
 
-// FuzzVirtualWheel feeds arbitrary (op, delay) byte sequences to the
-// wheel-backed Virtual and the frozen heap-based refclock oracle in
-// lockstep (pumps stopped, so both are fully deterministic) and asserts
-// identical Stop/Reset verdicts, pending counts, and fire times.
+// FuzzVirtualDifferential feeds arbitrary (op, delay) byte sequences to
+// the heap-backed Virtual and the frozen refclock oracle in lockstep
+// (pumps stopped, so both are fully deterministic) and asserts identical
+// Stop/Reset verdicts, pending counts, and fire times.
 //
 // The encoding keeps every input byte meaningful: each op consumes one
 // opcode byte and up to two delay bytes, so the fuzzer can reach deep
-// schedules — overdue arms (delay 0), horizon-crossing deadlines,
-// reset-after-fire, advance-past-everything — without a grammar.
-func FuzzVirtualWheel(f *testing.F) {
+// schedules — overdue arms (delay 0), far deadlines, reset-after-fire,
+// advance-past-everything — without a grammar.
+func FuzzVirtualDifferential(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 200, 3, 50, 1, 0, 2, 30, 3, 255, 255})
 	f.Add([]byte{0, 0, 3, 0, 0, 1, 3, 1, 2, 0, 3, 2})
-	// Horizon crossers: delays beyond wheelSlots ticks force the
-	// overflow heap and migration paths.
+	// Far deadlines: delays of many seconds mixed with near ones and
+	// stops deep inside the heap.
 	f.Add([]byte{0, 255, 7, 0, 2, 1, 3, 255, 120, 3, 255, 200, 1, 0})
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 3, 4, 2, 5, 3, 4, 1, 1, 3, 255, 9})
 
@@ -34,8 +34,8 @@ func FuzzVirtualWheel(f *testing.F) {
 			data = data[1:]
 			return b, true
 		}
-		// delay derives a duration from up to two bytes, spanning from
-		// sub-tick to far past the wheel horizon (512 ticks).
+		// delay derives a duration from up to two bytes, in 250µs steps
+		// from 0 to about 16s.
 		delay := func() time.Duration {
 			lo, _ := next()
 			hi, _ := next()
@@ -54,7 +54,7 @@ func FuzzVirtualWheel(f *testing.F) {
 				}
 				d := delay()
 				timers = append(timers, &timerPair{
-					wheel:  p.wheel.NewTimer(d),
+					impl:   p.impl.NewTimer(d),
 					oracle: p.oracle.NewTimer(d),
 				})
 			case 1: // stop
@@ -63,10 +63,10 @@ func FuzzVirtualWheel(f *testing.F) {
 				}
 				i, _ := next()
 				tp := timers[int(i)%len(timers)]
-				if wv, ov := tp.wheel.Stop(), tp.oracle.Stop(); wv != ov {
-					t.Fatalf("Stop verdict wheel=%v oracle=%v", wv, ov)
+				if wv, ov := tp.impl.Stop(), tp.oracle.Stop(); wv != ov {
+					t.Fatalf("Stop verdict clock=%v oracle=%v", wv, ov)
 				}
-			case 2: // reset (drained on both sides, see wheeltest_test.go)
+			case 2: // reset (drained on both sides, see differential_test.go)
 				if len(timers) == 0 {
 					continue
 				}
@@ -74,28 +74,28 @@ func FuzzVirtualWheel(f *testing.F) {
 				tp := timers[int(i)%len(timers)]
 				p.drain(t, int(i), tp)
 				d := delay()
-				if wv, ov := tp.wheel.Reset(d), tp.oracle.Reset(d); wv != ov {
-					t.Fatalf("Reset verdict wheel=%v oracle=%v", wv, ov)
+				if wv, ov := tp.impl.Reset(d), tp.oracle.Reset(d); wv != ov {
+					t.Fatalf("Reset verdict clock=%v oracle=%v", wv, ov)
 				}
 			case 3: // advance
 				d := delay()
-				p.wheel.Advance(d)
+				p.impl.Advance(d)
 				p.oracle.Advance(d)
-				if wp, op_ := p.wheel.Pending(), p.oracle.Pending(); wp != op_ {
-					t.Fatalf("Pending wheel=%d oracle=%d", wp, op_)
+				if wp, op_ := p.impl.Pending(), p.oracle.Pending(); wp != op_ {
+					t.Fatalf("Pending clock=%d oracle=%d", wp, op_)
 				}
 				for i, tp := range timers {
 					p.drain(t, i, tp)
 				}
 			}
 		}
-		p.wheel.Advance(24 * time.Hour)
+		p.impl.Advance(24 * time.Hour)
 		p.oracle.Advance(24 * time.Hour)
 		for i, tp := range timers {
 			p.drain(t, i, tp)
 		}
-		if wp, op_ := p.wheel.Pending(), p.oracle.Pending(); wp != op_ {
-			t.Fatalf("final Pending wheel=%d oracle=%d", wp, op_)
+		if wp, op_ := p.impl.Pending(), p.oracle.Pending(); wp != op_ {
+			t.Fatalf("final Pending clock=%d oracle=%d", wp, op_)
 		}
 	})
 }

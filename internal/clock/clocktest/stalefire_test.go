@@ -1,4 +1,4 @@
-package wheeltest
+package clocktest
 
 import (
 	"runtime"
@@ -9,7 +9,7 @@ import (
 )
 
 // TestResetStaleFireVirtual pins Timer.Reset's stale-fire caveat on the
-// wheel-backed Virtual: a timer that fired but was never drained keeps
+// heap-backed Virtual: a timer that fired but was never drained keeps
 // its stale value in C across Reset, so a naive wait would complete
 // immediately — and the deadline-filter discipline (re-arm the remainder
 // whenever the received fire time precedes the current deadline, the
@@ -36,7 +36,7 @@ func TestResetStaleFireVirtual(t *testing.T) {
 		tm.Reset(deadline.Sub(v.Now()))
 	default:
 		t.Fatal("fired-but-undrained timer lost its stale fire across Reset; " +
-			"the wheel must keep time.Timer's caveat (callers rely on the documented discipline)")
+			"Virtual must keep time.Timer's caveat (callers rely on the documented discipline)")
 	}
 
 	// The re-armed wait must now run its full course: nothing before the
@@ -58,9 +58,10 @@ func TestResetStaleFireVirtual(t *testing.T) {
 	}
 }
 
-// TestResetStaleFireReal is the same caveat pinned on the Real wheel:
-// the stale fire survives Reset, and the deadline-filtered wait still
-// lasts its full window.
+// TestResetStaleFireReal pins the Real contract, which has no caveat:
+// runtime timers discard an undelivered fire on Reset or Stop, so after
+// a fire nobody received, Reset leaves nothing in C before the new
+// deadline and Stop reports that it prevented the fire.
 func TestResetStaleFireReal(t *testing.T) {
 	clk := clock.Real{}
 	tm := clk.NewTimer(5 * time.Millisecond)
@@ -69,36 +70,28 @@ func TestResetStaleFireReal(t *testing.T) {
 	wait := 150 * time.Millisecond
 	deadline := clk.Now().Add(wait)
 	tm.Reset(wait)
-
-	completed := time.Time{}
-	for {
-		at := <-tm.C
-		if at.Before(deadline) {
-			// Stale fire (from the undrained first life); filter and
-			// re-arm the remainder — the wsthread discipline. A genuine
-			// fire is stamped with the collection time, which is never
-			// before the deadline.
-			tm.Reset(deadline.Sub(clk.Now()))
-			continue
-		}
-		completed = at
-		break
+	if at := <-tm.C; at.Before(deadline) {
+		t.Fatalf("wait satisfied at %v, %v before its deadline",
+			at, deadline.Sub(at))
 	}
-	if completed.Before(deadline) {
-		t.Fatalf("deadline-filtered wait completed at %v, before deadline %v", completed, deadline)
+
+	tm = clk.NewTimer(5 * time.Millisecond)
+	time.Sleep(30 * time.Millisecond) // fire; do not drain
+	if !tm.Stop() {
+		t.Fatal("Stop after an undelivered fire reported false")
+	}
+	select {
+	case at := <-tm.C:
+		t.Fatalf("stopped timer still delivered its fire at %v", at)
+	default:
 	}
 }
 
-// TestRealWheelGoroutineChurn asserts the Real wheel's constant-goroutine
-// property: 10k pending timers, created, reset, and stopped in bulk, add
-// exactly one wheel goroutine to the process — where the pre-wheel
-// implementation put every timer on the runtime's timer heap, and an
-// AfterFunc-per-retry pattern (courier, sweeps) could make goroutine
-// count track timer count.
-func TestRealWheelGoroutineChurn(t *testing.T) {
+// TestRealTimersAddNoGoroutine asserts that Real timers are runtime
+// timers: 10k pending timers, created, reset, and stopped in bulk, add no
+// goroutine to the process.
+func TestRealTimersAddNoGoroutine(t *testing.T) {
 	clk := clock.Real{}
-	// Prime the wheel so its singleton goroutine is already running.
-	clk.NewTimer(time.Hour).Stop()
 	runtime.GC()
 	base := runtime.NumGoroutine()
 
@@ -107,7 +100,7 @@ func TestRealWheelGoroutineChurn(t *testing.T) {
 	for i := range timers {
 		timers[i] = clk.NewTimer(time.Hour + time.Duration(i)*time.Millisecond)
 	}
-	if g := runtime.NumGoroutine(); g > base+1 {
+	if g := runtime.NumGoroutine(); g > base {
 		t.Fatalf("10k pending timers grew goroutines %d -> %d", base, g)
 	}
 	// Churn: re-arm every timer a few times, then stop them all.
@@ -115,7 +108,7 @@ func TestRealWheelGoroutineChurn(t *testing.T) {
 		for i, tm := range timers {
 			tm.Reset(time.Hour + time.Duration(i+round)*time.Millisecond)
 		}
-		if g := runtime.NumGoroutine(); g > base+1 {
+		if g := runtime.NumGoroutine(); g > base {
 			t.Fatalf("reset churn round %d grew goroutines %d -> %d", round, base, g)
 		}
 	}
@@ -128,7 +121,7 @@ func TestRealWheelGoroutineChurn(t *testing.T) {
 	if stopped != n {
 		t.Fatalf("stopped %d of %d hour-scale timers", stopped, n)
 	}
-	if g := runtime.NumGoroutine(); g > base+1 {
+	if g := runtime.NumGoroutine(); g > base {
 		t.Fatalf("after churn goroutines %d -> %d", base, g)
 	}
 }

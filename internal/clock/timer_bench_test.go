@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// BenchmarkTimerWheel reports the wheel's hot operations. Reset is the
-// path the dispatchers lean on (hold-open re-arms, pooled anonymous-wait
+// BenchmarkTimer reports the timers' hot operations. Reset is the path
+// the dispatchers lean on (hold-open re-arms, pooled anonymous-wait
 // timers, netsim read waits): it must be allocation-free on both clocks.
-func BenchmarkTimerWheel(b *testing.B) {
+func BenchmarkTimer(b *testing.B) {
 	b.Run("real/reset", func(b *testing.B) {
 		tm := Wall.NewTimer(time.Hour)
 		defer tm.Stop()

@@ -1,15 +1,11 @@
 package clock
 
 import (
+	"container/heap"
 	"runtime"
 	"sync"
 	"time"
 )
-
-// virtualTick is the Virtual wheel's slot width. It is purely a bucketing
-// choice: Virtual fires at exact deadlines (the scheduler advances to
-// them directly), so the tick affects slot occupancy, never timing.
-const virtualTick = int64(time.Millisecond)
 
 // Virtual is a discrete-event clock. Time only moves when every goroutine
 // that interacts with the clock is blocked waiting on it: a background pump
@@ -32,16 +28,14 @@ const virtualTick = int64(time.Millisecond)
 // interleavings are still not reproducible run to run, so tests assert
 // shapes with tolerances rather than exact traces.
 //
-// Timers live on the same hashed wheel structure as Real's (see the
-// package doc); the pump advances the wheel to exact deadlines and fires
-// each batch in (deadline, registration) order, byte-identical to the
-// old heap-based scheduler's ordering.
+// Timers wait on one min-heap (see the package doc); the pump jumps to
+// exact deadlines and fires each batch in (deadline, registration) order.
 type Virtual struct {
 	mu      sync.Mutex
 	start   time.Time // the epoch; nowNs counts from here
 	nowNs   int64
-	wh      wheel
-	gen     uint64 // bumped on every registration; pump detects churn
+	timers  timerHeap
+	gen     uint64 // bumped on every registration: pump churn check, timer seq
 	reads   uint64 // bumped on every Now; pump detects work mid-scan
 	stopped bool
 	wake    chan struct{} // pump kick
@@ -59,16 +53,15 @@ type Virtual struct {
 	// scratch recycles the pump's due batch; taken under mu, handed
 	// back after the batch fires (Advance may race the pump, in which
 	// case the loser allocates its own).
-	scratch *dueBatch
+	scratch []dueTimer
 }
 
-// dueBatch is one fire batch in (deadline, registration) order, with
-// each entry's deadline copied out under the clock's lock: once the lock
-// drops, a Reset may re-arm an entry and rewrite its deadline while the
-// batch is still firing.
-type dueBatch struct {
-	due []*wtimer
-	at  []int64
+// dueTimer is one entry of a fire batch, with its deadline copied out
+// under the clock's lock: once the lock drops, a Reset may re-arm the
+// timer and rewrite its deadline while the batch is still firing.
+type dueTimer struct {
+	t  *Timer
+	at int64
 }
 
 // NewVirtual returns a running Virtual clock starting at start. Call Stop
@@ -80,7 +73,6 @@ func NewVirtual(start time.Time) *Virtual {
 		grace:    50 * time.Microsecond,
 		coalesce: time.Millisecond,
 	}
-	v.wh.init(virtualTick)
 	go v.pump()
 	return v
 }
@@ -143,44 +135,48 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 
 // NewTimer implements Clock.
 func (v *Virtual) NewTimer(d time.Duration) *Timer {
-	t := newTimer(v, nil)
+	ch := make(chan time.Time, 1)
+	t := &Timer{C: ch, ch: ch, v: v, idx: -1}
 	v.startTimer(t, d)
 	return t
 }
 
 // AfterFunc implements Clock.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
-	t := newTimer(v, f)
+	t := &Timer{f: f, v: v, idx: -1}
 	v.startTimer(t, d)
 	return t
 }
 
-// startTimer (re-)schedules t to fire d from virtual now, reporting
-// whether it was still pending.
+// startTimer (re-)schedules t to fire d from virtual now as the newest
+// registration, reporting whether it was still pending.
 func (v *Virtual) startTimer(t *Timer, d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
-	active := v.wh.cancel(&t.w)
 	v.gen++
-	v.wh.schedule(&t.w, v.nowNs+int64(d))
+	t.deadline, t.seq = v.nowNs+int64(d), v.gen
+	active := t.idx >= 0
+	if active {
+		heap.Fix(&v.timers, t.idx)
+	} else {
+		heap.Push(&v.timers, t)
+	}
 	v.mu.Unlock()
 	v.kick()
 	return active
 }
 
-// stopTimer implements timerSource.
+// stopTimer unschedules t, reporting whether it was still pending.
 func (v *Virtual) stopTimer(t *Timer) bool {
 	v.mu.Lock()
-	active := v.wh.cancel(&t.w)
-	v.mu.Unlock()
-	return active
-}
-
-// resetTimer implements timerSource.
-func (v *Virtual) resetTimer(t *Timer, d time.Duration) bool {
-	return v.startTimer(t, d)
+	defer v.mu.Unlock()
+	if t.idx < 0 {
+		return false
+	}
+	heap.Remove(&v.timers, t.idx)
+	return true
 }
 
 // Advance manually moves the clock forward by d, firing every timer whose
@@ -199,7 +195,7 @@ func (v *Virtual) Advance(d time.Duration) {
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.wh.count
+	return len(v.timers)
 }
 
 func (v *Virtual) kick() {
@@ -209,30 +205,40 @@ func (v *Virtual) kick() {
 	}
 }
 
-// collectLocked takes every timer due by target off the wheel into the
-// recycled batch (or a fresh one when another batch is mid-fire), sorted,
-// with deadlines copied. Caller holds v.mu.
-func (v *Virtual) collectLocked(target int64) *dueBatch {
-	b := v.scratch
+// collectLocked pops every timer due by target, in fire order, into the
+// recycled batch (or a fresh one when another batch is mid-fire), with
+// deadlines copied. Caller holds v.mu.
+func (v *Virtual) collectLocked(target int64) []dueTimer {
+	b := v.scratch[:0]
 	v.scratch = nil
-	if b == nil {
-		b = new(dueBatch)
-	}
-	b.due = v.wh.advanceTo(target, b.due[:0])
-	sortDue(b.due)
-	b.at = b.at[:0]
-	for _, e := range b.due {
-		b.at = append(b.at, e.deadline)
+	for len(v.timers) > 0 && v.timers[0].deadline <= target {
+		t := heap.Pop(&v.timers).(*Timer)
+		b = append(b, dueTimer{t, t.deadline})
 	}
 	return b
+}
+
+// fire delivers one Virtual expiry: the callback on its own goroutine for
+// AfterFunc timers, a non-blocking send otherwise (like time.Timer's old
+// sendTime — a stale fire may still sit in C, and the clock must never
+// block on it).
+func (t *Timer) fire(at time.Time) {
+	if t.f != nil {
+		go t.f()
+		return
+	}
+	select {
+	case t.ch <- at:
+	default:
+	}
 }
 
 // fireBatch delivers a collected batch outside the lock — each waiter
 // observes its own deadline as the fire time — then hands the batch back
 // for reuse.
-func (v *Virtual) fireBatch(b *dueBatch) {
-	for i, e := range b.due {
-		e.t.fire(v.start.Add(time.Duration(b.at[i])))
+func (v *Virtual) fireBatch(b []dueTimer) {
+	for _, d := range b {
+		d.t.fire(v.start.Add(time.Duration(d.at)))
 	}
 	v.mu.Lock()
 	if v.scratch == nil {
@@ -258,7 +264,7 @@ func (v *Virtual) pump() {
 			v.mu.Unlock()
 			return
 		}
-		if v.wh.count == 0 {
+		if len(v.timers) == 0 {
 			v.mu.Unlock()
 			<-v.wake
 			continue
@@ -284,7 +290,7 @@ func (v *Virtual) pump() {
 			pumpMu.Unlock()
 			return
 		}
-		if !quiet || v.gen != genBefore || v.reads != readsBefore || v.wh.count == 0 {
+		if !quiet || v.gen != genBefore || v.reads != readsBefore || len(v.timers) == 0 {
 			// Work in flight or churn during the window; re-observe.
 			v.mu.Unlock()
 			pumpMu.Unlock()
@@ -294,11 +300,10 @@ func (v *Virtual) pump() {
 		// within the coalescing window; the clock lands on the
 		// latest deadline actually fired, so no waiter ever
 		// observes a time before its own deadline.
-		earliest, _ := v.wh.earliest()
-		target := earliest + int64(v.coalesce)
+		target := v.timers[0].deadline + int64(v.coalesce)
 		b := v.collectLocked(target)
-		if n := len(b.at); n > 0 && b.at[n-1] > v.nowNs {
-			v.nowNs = b.at[n-1]
+		if n := len(b); n > 0 && b[n-1].at > v.nowNs {
+			v.nowNs = b[n-1].at
 		}
 		v.mu.Unlock()
 		pumpMu.Unlock()
@@ -355,4 +360,39 @@ func settled() bool {
 		}
 	}
 	return false
+}
+
+// timerHeap is a container/heap min-heap of scheduled Virtual timers by
+// (deadline, seq), keeping each timer's idx current.
+type timerHeap []*Timer
+
+func (h timerHeap) Len() int { return len(h) }
+
+func (h timerHeap) Less(i, j int) bool {
+	if h[i].deadline != h[j].deadline {
+		return h[i].deadline < h[j].deadline
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+
+func (h *timerHeap) Push(x any) {
+	t := x.(*Timer)
+	t.idx = len(*h)
+	*h = append(*h, t)
+}
+
+func (h *timerHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	t := old[n]
+	old[n] = nil
+	t.idx = -1
+	*h = old[:n]
+	return t
 }

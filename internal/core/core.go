@@ -314,7 +314,7 @@ func (s *Server) scheduleSweep() {
 		return
 	}
 	// One persistent timer re-armed per cycle, not an AfterFunc per
-	// cycle: the callback and its wheel entry are allocated once for the
+	// cycle: the callback and its timer are allocated once for the
 	// server's lifetime.
 	if s.sweeper != nil {
 		s.sweeper.Reset(s.cfg.SweepEvery)

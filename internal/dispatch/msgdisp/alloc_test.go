@@ -142,10 +142,17 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 			}
 
 			// Bytes per op via the monotonic allocation counter (TotalAlloc
-			// is unaffected by GC), over a fresh run of exchanges.
+			// is unaffected by GC), over a fresh run of exchanges. The GC
+			// demotes every sync.Pool's per-P caches to their victim
+			// level; a short batch brings the pools back to steady state
+			// before the count starts, or the window would also charge
+			// the refills, more of them the more Ps there are.
 			const n = 100
 			var before, after runtime.MemStats
 			runtime.GC()
+			for i := 0; i < 10; i++ {
+				roundTrip()
+			}
 			runtime.ReadMemStats(&before)
 			for i := 0; i < n; i++ {
 				roundTrip()

@@ -577,9 +577,9 @@ func (d *Dispatcher) routeRequest(ex *httpx.Exchange, v *view) {
 // arriving reply's buffer is simply returned to the pool.)
 func (d *Dispatcher) awaitAnonymous(ex *httpx.Exchange, msgID string, waiter *waiterSlot) {
 	// The wait timer is drawn from a pool: an anonymous RPC exchange
-	// happens per client call, and NewTimer per wait is three
-	// allocations on the steady-state path. A pooled timer can carry a
-	// stale fire from its previous life (a Virtual-clock fire lands in C
+	// happens per client call, and NewTimer per wait would put several
+	// allocations on the steady-state path. A pooled Virtual timer can
+	// carry a stale fire from its previous life (its fire lands in C
 	// asynchronously even after Stop — see wsThread), so fires are
 	// validated against the deadline and the remainder re-armed.
 	clk := d.cfg.Clock

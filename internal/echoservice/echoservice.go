@@ -34,13 +34,11 @@ const EchoOp = "echoMessage"
 
 // RPC is the request/response echo service. It implements httpx.Handler.
 // A call is decoded with soap.DecodeRPC and its parameters are echoed
-// through soap.AppendRPCResponse, so an echo builds no element tree and,
-// for entity-free values, allocates nothing.
+// through soap.AppendRPCResponse in the request's SOAP version, so an echo
+// builds no element tree and, for entity-free values, allocates nothing.
 type RPC struct {
 	// Clock drives the simulated service time.
 	Clock clock.Clock
-	// Version selects the SOAP version of responses.
-	Version soap.Version
 	// ServiceTime is the simulated per-call processing cost.
 	ServiceTime time.Duration
 
@@ -54,7 +52,7 @@ func NewRPC(clk clock.Clock, serviceTime time.Duration) *RPC {
 	if clk == nil {
 		clk = clock.Wall
 	}
-	return &RPC{Clock: clk, Version: soap.V11, ServiceTime: serviceTime}
+	return &RPC{Clock: clk, ServiceTime: serviceTime}
 }
 
 // Serve implements httpx.Handler.

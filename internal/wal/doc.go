@@ -80,10 +80,9 @@
 //
 // SyncAlways fsyncs before every Append returns: a successful Put is on
 // disk. SyncInterval (the default) is group commit — appends mark the
-// log dirty and one fsync per Config.SyncEvery window covers every
-// append in it, riding a clock.AfterFunc timer so Virtual-clock tests
-// exercise the policy deterministically; a crash loses at most the open
-// window. The window's fsync runs with the log mutex released, so
+// log dirty and one fsync per 5 ms window covers every append in it,
+// riding a clock.AfterFunc timer so Virtual-clock tests exercise the
+// policy deterministically; a crash loses at most the open window. The window's fsync runs with the log mutex released, so
 // appends do not wait behind the disk; rotation, compaction, Sync and
 // Close wait for an fsync in flight. SyncNever leaves flushing to the
 // OS. In every mode the write itself reaches the kernel before Append

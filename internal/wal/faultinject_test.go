@@ -321,7 +321,7 @@ func installGate(t *testing.T, g *syncGate) {
 func TestWindowSyncOffLock(t *testing.T) {
 	g := &syncGate{entered: make(chan struct{}), release: make(chan error)}
 	installGate(t, g)
-	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{Sync: SyncInterval, SyncEvery: time.Millisecond})
+	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{Sync: SyncInterval})
 	defer l.Close()
 	awaitEntered := func() {
 		t.Helper()

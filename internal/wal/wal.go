@@ -22,12 +22,16 @@ import (
 	"repro/internal/xmlsoap"
 )
 
+// syncEvery is SyncInterval's group-commit window: a crash loses at most
+// the appends of the last one.
+const syncEvery = 5 * time.Millisecond
+
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
 
 const (
-	// SyncInterval batches fsyncs: one per Config.SyncEvery window that
-	// saw an append (group commit). The default.
+	// SyncInterval batches fsyncs: one per syncEvery window that saw an
+	// append (group commit). The default.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs before every Append returns.
 	SyncAlways
@@ -46,9 +50,6 @@ type Config struct {
 	SegmentSize int64
 	// Sync selects the fsync policy. Default SyncInterval.
 	Sync SyncPolicy
-	// SyncEvery is the group-commit window for SyncInterval. Default
-	// 5ms.
-	SyncEvery time.Duration
 	// MaxRecord bounds one record's payload; larger appends fail and
 	// larger on-disk lengths are treated as corruption. Default 16 MiB.
 	MaxRecord int
@@ -60,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegmentSize <= 0 {
 		c.SegmentSize = 4 << 20
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 5 * time.Millisecond
 	}
 	if c.MaxRecord <= 0 {
 		c.MaxRecord = 16 << 20
@@ -606,10 +604,10 @@ func (l *Log) armSyncLocked() {
 	}
 	l.syncArmed = true
 	if l.syncTimer == nil {
-		l.syncTimer = l.cfg.Clock.AfterFunc(l.cfg.SyncEvery, l.syncWindow)
+		l.syncTimer = l.cfg.Clock.AfterFunc(syncEvery, l.syncWindow)
 		return
 	}
-	l.syncTimer.Reset(l.cfg.SyncEvery)
+	l.syncTimer.Reset(syncEvery)
 }
 
 // syncWindow is the group-commit timer body. The fsync runs with mu

@@ -520,7 +520,7 @@ func waitSyncs(t *testing.T, l *Log, base, want int64) {
 func TestSyncPolicyInterval(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond, Clock: vc})
+	l, _ := collect(t, dir, Config{Sync: SyncInterval, Clock: vc})
 	defer l.Close()
 	base := l.Syncs.Value()
 	for i := 0; i < 10; i++ {
@@ -531,7 +531,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 	if n := l.Syncs.Value() - base; n != 0 {
 		t.Fatalf("synced %d times before the window elapsed", n)
 	}
-	vc.Advance(5 * time.Millisecond)
+	vc.Advance(syncEvery)
 	waitSyncs(t, l, base, 1) // group commit: 1 fsync for 10 appends
 	// Idle window: timer is not re-armed without a dirty append.
 	vc.Advance(50 * time.Millisecond)
@@ -543,7 +543,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 	if err := l.Append(encStr("later")); err != nil {
 		t.Fatal(err)
 	}
-	vc.Advance(5 * time.Millisecond)
+	vc.Advance(syncEvery)
 	waitSyncs(t, l, base, 2)
 }
 
@@ -552,7 +552,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 func TestExplicitSyncClearsWindow(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond, Clock: vc})
+	l, _ := collect(t, dir, Config{Sync: SyncInterval, Clock: vc})
 	defer l.Close()
 	base := l.Syncs.Value()
 	if err := l.Append(encStr("x")); err != nil {
@@ -564,7 +564,7 @@ func TestExplicitSyncClearsWindow(t *testing.T) {
 	if n := l.Syncs.Value() - base; n != 1 {
 		t.Fatalf("explicit Sync: %d syncs, want 1", n)
 	}
-	vc.Advance(5 * time.Millisecond)
+	vc.Advance(syncEvery)
 	time.Sleep(20 * time.Millisecond)
 	if n := l.Syncs.Value() - base; n != 1 {
 		t.Fatalf("timer after explicit Sync re-synced: %d total", n)

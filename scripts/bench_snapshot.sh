@@ -32,7 +32,7 @@ go test -run '^$' -bench 'Skim$|SkimRewrite$|ParseRewrite$' -benchmem -count=1 \
     ./internal/wsa/ >>"$tmp"
 go test -run '^$' -bench 'SaturationRamp' -benchtime 1x -count=1 \
     . >>"$tmp"
-go test -run '^$' -bench 'TimerWheel' -benchmem -count=1 \
+go test -run '^$' -bench 'Timer$' -benchmem -count=1 \
     ./internal/clock/ >>"$tmp"
 go test -run '^$' -bench 'WALAppend|WALRecovery' -benchmem -count=1 \
     ./internal/wal/ >>"$tmp"
