@@ -271,7 +271,7 @@ func (rig *msgBenchRig) runBurst(b *testing.B, count, dests int) time.Duration {
 // farm of backends registered under one logical name. With kill set, the
 // first backend's server is closed a third of the way in; MarkDeadOnError
 // lets delivery failures fail the endpoint over to the survivors.
-func runSaturationPoint(b *testing.B, clients, shards, backends int, kill bool) (loadReport, time.Duration) {
+func runSaturationPoint(b *testing.B, clients, backends int, kill bool) (loadReport, time.Duration) {
 	b.Helper()
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
@@ -305,7 +305,6 @@ func runSaturationPoint(b *testing.B, clients, shards, backends int, kill bool) 
 		HoldOpen:        time.Second,
 		CxWorkers:       128,
 		WsWorkers:       64,
-		StateShards:     shards,
 		MarkDeadOnError: true,
 	})
 	if err := disp.Start(); err != nil {
@@ -375,29 +374,25 @@ type loadReport struct {
 }
 
 // BenchmarkSaturationRamp ramps loadgen client counts through the
-// MSG-Dispatcher to the saturation knee in three configurations: the
-// single-lock keyed-state baseline (shards=1), the sharded default, and
-// the sharded dispatcher absorbing a mid-run backend kill on a
-// two-backend farm. Virtual-clock msg/min measures modeled capacity
-// (identical network, so the configurations separate only at the knee);
-// wall-ms is the real time the dispatcher needed to push the same
-// virtual minute, where shard-lock contention actually shows.
+// MSG-Dispatcher to the saturation knee in two configurations: one
+// backend, and a two-backend farm absorbing a mid-run backend kill.
+// Virtual-clock msg/min measures modeled capacity (identical network,
+// so the configurations separate only at the knee); wall-ms is the real
+// time the dispatcher needed to push the same virtual minute.
 func BenchmarkSaturationRamp(b *testing.B) {
 	cases := []struct {
 		name     string
-		shards   int
 		backends int
 		kill     bool
 	}{
-		{"single-shard/one-backend", 1, 1, false},
-		{"sharded/one-backend", 64, 1, false},
-		{"sharded/two-backends-kill", 64, 2, true},
+		{"sharded/one-backend", 1, false},
+		{"sharded/two-backends-kill", 2, true},
 	}
 	for _, tc := range cases {
 		for _, clients := range []int{25, 100, 300} {
 			b.Run(fmt.Sprintf("%s/clients=%d", tc.name, clients), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rep, wall := runSaturationPoint(b, clients, tc.shards, tc.backends, tc.kill)
+					rep, wall := runSaturationPoint(b, clients, tc.backends, tc.kill)
 					b.ReportMetric(rep.perMinute, "msg/min")
 					b.ReportMetric(float64(rep.notSent), "not-sent")
 					b.ReportMetric(float64(wall.Milliseconds()), "wall-ms")

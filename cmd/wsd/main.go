@@ -33,7 +33,7 @@ func main() {
 	msgPort := flag.Int("msg", 9100, "MSG-Dispatcher port (0 disables)")
 	mboxPort := flag.Int("mbox", 9200, "co-located WS-MsgBox port (0 disables)")
 	registryFile := flag.String("registry", "", "registry seed file (logical url[,url...] per line)")
-	storeDir := flag.String("store", "", "durable state directory: WAL-backed courier hold/retry and persistent mailboxes (empty disables)")
+	storeDir := flag.String("store", "", "durable state directory: WAL-backed courier hold/retry and persistent mailboxes; an accepted message survives a crash, and a power loss loses at most the open 5ms fsync window (package wal, \"Sync policy\"); empty disables")
 	policy := flag.String("policy", "first", "balancing policy: first|round-robin|least-pending")
 	ssoKey := flag.String("sso-key", "", "enable single sign-on with this signing key")
 	ssoUsers := flag.String("sso-users", "", "comma-separated principal:secret pairs")

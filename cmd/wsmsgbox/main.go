@@ -26,7 +26,7 @@ func main() {
 	host := flag.String("host", "localhost", "externally visible host name for mailbox addresses")
 	port := flag.Int("port", 9200, "service port")
 	boxCap := flag.Int("box-cap", 4096, "messages retained per mailbox")
-	storeDir := flag.String("store", "", "durable mailbox directory (WAL-backed; empty keeps mailboxes in memory)")
+	storeDir := flag.String("store", "", "durable mailbox directory (WAL-backed: a 202'd deposit survives a crash, and a power loss loses at most the open 5ms fsync window, per package wal \"Sync policy\"); empty keeps mailboxes in memory")
 	flag.Parse()
 
 	cfg := msgbox.Config{

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// grace is how long the pump waits (real time) for new registrations
+// before concluding the system is quiescent.
+const grace = 50 * time.Microsecond
+
 // Virtual is a discrete-event clock. Time only moves when every goroutine
 // that interacts with the clock is blocked waiting on it: a background pump
 // observes a short quiescence window (no new timer registrations, and on
@@ -24,9 +28,10 @@ import (
 // the host has preempted) registers nothing for as long as it runs, so on
 // Linux the pump also requires every other thread of the process to be
 // asleep before it advances (see settled). Elsewhere the grace window is
-// the only test, and SetGrace is the knob for CPU-bound phases. Event
-// interleavings are still not reproducible run to run, so tests assert
-// shapes with tolerances rather than exact traces.
+// the only test, so a CPU-bound phase longer than grace can read as
+// quiescence there. Event interleavings are still not reproducible run
+// to run, so tests assert shapes with tolerances rather than exact
+// traces.
 //
 // Timers wait on one min-heap (see the package doc); the pump jumps to
 // exact deadlines and fires each batch in (deadline, registration) order.
@@ -40,9 +45,6 @@ type Virtual struct {
 	stopped bool
 	wake    chan struct{} // pump kick
 
-	// grace is how long the pump waits (real time) for new
-	// registrations before concluding the system is quiescent.
-	grace time.Duration
 	// coalesce is the virtual window within which distinct deadlines
 	// fire in one pump step. Coalescing trades a bounded amount of
 	// virtual-time dilation (≤ coalesce per causal hop) for a large
@@ -70,7 +72,6 @@ func NewVirtual(start time.Time) *Virtual {
 	v := &Virtual{
 		start:    start,
 		wake:     make(chan struct{}, 1),
-		grace:    50 * time.Microsecond,
 		coalesce: time.Millisecond,
 	}
 	go v.pump()
@@ -84,14 +85,6 @@ func NewVirtualAt(offset time.Duration) *Virtual {
 	return NewVirtual(time.Unix(0, 0).Add(offset))
 }
 
-// SetGrace adjusts the quiescence window. Larger values are more robust to
-// CPU-bound phases between sleeps at the cost of slower simulations.
-func (v *Virtual) SetGrace(d time.Duration) {
-	v.mu.Lock()
-	v.grace = d
-	v.mu.Unlock()
-}
-
 // SetCoalesce adjusts the virtual coalescing window (0 disables: every
 // distinct deadline gets its own pump step).
 func (v *Virtual) SetCoalesce(d time.Duration) {
@@ -100,7 +93,8 @@ func (v *Virtual) SetCoalesce(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Stop shuts down the pump goroutine. Pending timers never fire after Stop.
+// Stop shuts down the pump goroutine. After Stop, time moves and pending
+// timers fire only through Advance.
 func (v *Virtual) Stop() {
 	v.mu.Lock()
 	v.stopped = true
@@ -270,7 +264,6 @@ func (v *Virtual) pump() {
 			continue
 		}
 		genBefore := v.gen
-		grace := v.grace
 		v.mu.Unlock()
 
 		pumpMu.Lock()
@@ -280,7 +273,7 @@ func (v *Virtual) pump() {
 		// goroutine that wakes while the scan is between threads reads
 		// the clock before it touches the simulation, so a Now during
 		// the scan voids it.
-		quiesce(grace)
+		quiesce()
 		gen, readsBefore := v.counters()
 		quiet := gen == genBefore && settled()
 
@@ -323,7 +316,7 @@ func (v *Virtual) counters() (gen, reads uint64) {
 // often worse) would dominate every pump step and slow large simulations
 // by orders of magnitude. Spinning with Gosched keeps a step in the
 // single-digit microseconds when the system is already quiet.
-func quiesce(grace time.Duration) {
+func quiesce() {
 	start := time.Now()
 	for {
 		runtime.Gosched()

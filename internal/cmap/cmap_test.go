@@ -3,6 +3,7 @@ package cmap
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,6 +107,56 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
+// Range releases each stripe's lock before calling f, so f may write the
+// map, including the stripe it is visiting, without deadlocking.
+func TestRangeCallbackMayWriteMap(t *testing.T) {
+	m := New[int]()
+	for i := 0; i < 200; i++ {
+		m.Put(fmt.Sprintf("k%d", i), i)
+	}
+	m.Range(func(k string, v int) bool {
+		if strings.HasPrefix(k, "moved-") {
+			return true // written during this Range; it may be visited
+		}
+		if !m.Delete(k) {
+			t.Errorf("Delete(%q) inside Range found nothing", k)
+		}
+		m.Put("moved-"+k, v)
+		return true
+	})
+	for i := 0; i < 200; i++ {
+		if _, ok := m.Get(fmt.Sprintf("k%d", i)); ok {
+			t.Fatalf("k%d survived its Delete inside Range", i)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if v, ok := m.Get(fmt.Sprintf("moved-k%d", i)); !ok || v != i {
+			t.Fatalf("Get(moved-k%d) = %d, %v", i, v, ok)
+		}
+	}
+}
+
+// The measured gain of striping needs keys to reach every stripe: a
+// shard function that sent all keys to one stripe would pass every
+// functional test and still serialize the dispatcher's hot maps.
+func TestKeysSpreadOverEveryStripe(t *testing.T) {
+	m := New[int]()
+	if len(m.shards) != shardCount {
+		t.Fatalf("%d stripes, want %d", len(m.shards), shardCount)
+	}
+	const perStripe = 64
+	for i := 0; i < shardCount*perStripe; i++ {
+		m.Put(fmt.Sprintf("urn:uuid:%08x", i), i)
+	}
+	for i := range m.shards {
+		// Binomial(4096, 1/64) has mean 64 and s.d. 8: an empty stripe or
+		// one holding 3x its share is a broken hash, not chance.
+		if n := len(m.shards[i].m); n == 0 || n > 3*perStripe {
+			t.Errorf("stripe %d holds %d of %d keys", i, n, shardCount*perStripe)
+		}
+	}
+}
+
 func TestKeysSnapshot(t *testing.T) {
 	m := New[int]()
 	want := []string{"a", "b", "c"}
@@ -146,39 +197,6 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-func TestNewSizedRounding(t *testing.T) {
-	for _, tc := range []struct{ ask, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {32, 32}, {100, 128},
-		{4096, 4096}, {1 << 20, 4096},
-	} {
-		if got := NewSized[int](tc.ask).Shards(); got != tc.want {
-			t.Errorf("NewSized(%d).Shards() = %d, want %d", tc.ask, got, tc.want)
-		}
-	}
-	if got := New[int]().Shards(); got != defaultShards {
-		t.Errorf("New().Shards() = %d, want %d", got, defaultShards)
-	}
-}
-
-func TestSingleShardStillCorrect(t *testing.T) {
-	m := NewSized[int](1)
-	for i := 0; i < 64; i++ {
-		m.Put(fmt.Sprintf("k%d", i), i)
-	}
-	if m.Len() != 64 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if v, ok := m.Get("k17"); !ok || v != 17 {
-		t.Fatalf("Get(k17) = %d, %v", v, ok)
-	}
-	if v, ok := m.GetAndDelete("k17"); !ok || v != 17 {
-		t.Fatalf("GetAndDelete(k17) = %d, %v", v, ok)
-	}
-	if _, ok := m.Get("k17"); ok {
-		t.Fatal("k17 survived GetAndDelete")
-	}
-}
-
 func TestGetAndDelete(t *testing.T) {
 	m := New[int]()
 	m.Put("k", 7)
@@ -193,42 +211,37 @@ func TestGetAndDelete(t *testing.T) {
 	}
 }
 
-// Concurrent claimants of the same key: exactly one wins per Put, across
-// every stripe width including the degenerate single-lock map.
+// Concurrent claimants of the same key: exactly one wins per Put.
 func TestConcurrentGetAndDeleteSingleClaimant(t *testing.T) {
-	for _, shards := range []int{1, 32} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			m := NewSized[int](shards)
-			const keys, claimants = 50, 8
+	m := New[int]()
+	const keys, claimants = 50, 8
+	for k := 0; k < keys; k++ {
+		m.Put(fmt.Sprintf("k%d", k), k)
+	}
+	var wg sync.WaitGroup
+	var claims [keys]int32
+	var mu sync.Mutex
+	for c := 0; c < claimants; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for k := 0; k < keys; k++ {
-				m.Put(fmt.Sprintf("k%d", k), k)
-			}
-			var wg sync.WaitGroup
-			var claims [keys]int32
-			var mu sync.Mutex
-			for c := 0; c < claimants; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for k := 0; k < keys; k++ {
-						if v, ok := m.GetAndDelete(fmt.Sprintf("k%d", k)); ok {
-							mu.Lock()
-							claims[k]++
-							mu.Unlock()
-							if v != k {
-								t.Errorf("claimed k%d = %d", k, v)
-							}
-						}
+				if v, ok := m.GetAndDelete(fmt.Sprintf("k%d", k)); ok {
+					mu.Lock()
+					claims[k]++
+					mu.Unlock()
+					if v != k {
+						t.Errorf("claimed k%d = %d", k, v)
 					}
-				}()
-			}
-			wg.Wait()
-			for k, n := range claims {
-				if n != 1 {
-					t.Errorf("key k%d claimed %d times, want exactly 1", k, n)
 				}
 			}
-		})
+		}()
+	}
+	wg.Wait()
+	for k, n := range claims {
+		if n != 1 {
+			t.Errorf("key k%d claimed %d times, want exactly 1", k, n)
+		}
 	}
 }
 

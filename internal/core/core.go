@@ -235,7 +235,7 @@ func (s *Server) MsgBoxURL() string {
 	if s.cfg.MsgBoxPort == 0 {
 		return ""
 	}
-	return fmt.Sprintf("http://%s:%d/mbox", s.cfg.HostName, s.cfg.MsgBoxPort)
+	return fmt.Sprintf("http://%s:%d%s", s.cfg.HostName, s.cfg.MsgBoxPort, msgbox.PathPrefix)
 }
 
 // Start opens all listeners and launches background sweeps.
@@ -334,7 +334,7 @@ func (s *Server) scheduleSweep() {
 func (s *Server) rpcMux() httpx.Handler {
 	return httpx.HandlerFunc(func(ex *httpx.Exchange) {
 		switch {
-		case strings.HasPrefix(ex.Req.Path, "/rpc/"):
+		case strings.HasPrefix(ex.Req.Path, rpcdisp.PathPrefix):
 			if s.denied(ex) {
 				return
 			}
@@ -417,7 +417,7 @@ func (s *Server) serveWSDL(ex *httpx.Exchange, name string) {
 	}
 	endpoint := ""
 	if s.cfg.RPCPort != 0 {
-		endpoint = s.RPCURL() + "/rpc/" + name
+		endpoint = s.RPCURL() + rpcdisp.PathPrefix + name
 	}
 	body, err := entry.DocBytes(endpoint)
 	if err != nil {

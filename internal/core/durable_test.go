@@ -14,8 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/reliable"
 	"repro/internal/soap"
-	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/internal/wsa"
 	"repro/internal/xmlsoap"
 )
@@ -40,9 +38,6 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestDurableServerSurvivesRestart(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
-	// SyncAlways fsyncs on courier/mailbox goroutines; real disk waits
-	// must not read as quiescence (see clock.Virtual).
-	clk.SetGrace(2 * time.Millisecond)
 	nw := netsim.New(clk, 17)
 	wsd := nw.AddHost("wsd", netsim.ProfileLAN())
 	ws := nw.AddHost("ws", netsim.ProfileLAN())
@@ -59,7 +54,6 @@ func TestDurableServerSurvivesRestart(t *testing.T) {
 			MsgPort:    9100,
 			MsgBoxPort: 9200,
 			StoreDir:   dir,
-			Store:      store.Options{WAL: wal.Config{Sync: wal.SyncAlways}},
 			Courier: reliable.Config{
 				InitialBackoff: 2 * time.Second,
 				MaxBackoff:     5 * time.Second,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/reliable"
 	"repro/internal/soap"
 	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/internal/wsa"
 	"repro/internal/xmlsoap"
 )
@@ -23,17 +22,14 @@ import (
 // the WAL-backed courier store: messages are enqueued through the
 // MSG-Dispatcher while the destination is down, the whole dispatcher
 // generation is hard-stopped mid-retry (the store is abandoned without
-// Close, like a crash — SyncAlways means every accepted message is
-// already on disk), a second generation reopens the same WAL directory,
+// Close, like a process crash — every accepted message's record has
+// already reached the kernel), a second generation reopens the same WAL
+// directory,
 // and every unacked message is redelivered exactly once. Pooled buffers
 // return to baseline after the surviving generation shuts down.
 func TestKillAndRecoverRedelivery(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
-	// SyncAlways fsyncs on the courier's goroutines; a real fsync can
-	// outlast the Virtual pump's default 50µs quiescence window, which
-	// would make disk I/O look like idleness and jump virtual time.
-	clk.SetGrace(2 * time.Millisecond)
 	nw := netsim.New(clk, 52)
 	wsd := nw.AddHost("wsd", netsim.ProfileLAN())
 	ws := nw.AddHost("ws", netsim.ProfileLAN())
@@ -45,7 +41,7 @@ func TestKillAndRecoverRedelivery(t *testing.T) {
 	// WAL directory. The teardown closes everything except, optionally,
 	// the store — a crash never gets to flush.
 	boot := func() (*Dispatcher, *reliable.Courier, *store.Store, func(closeStore bool)) {
-		st, err := store.Open(clk, dir, store.Options{WAL: wal.Config{Sync: wal.SyncAlways}})
+		st, err := store.Open(clk, dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

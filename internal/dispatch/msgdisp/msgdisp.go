@@ -51,6 +51,16 @@
 // exchange's pooled body: anything kept past the routing pass (pending
 // keys, reply addresses, queued payloads) is detached or rendered into
 // its own buffer.
+//
+// # Keyed state
+//
+// The pending-reply table and the destination-queue index are cmap
+// maps, striped over cmap's fixed 64 shards (see the cmap package doc
+// for the measurement that keeps the striping). Claiming a pending
+// entry MUST use GetAndDelete, one lock acquisition with exactly one
+// claimant, never Get followed by Delete. The waiter-slot generation
+// guard (see waiterSlot) is the backstop for a claim that races the
+// waiter's timeout after the claim.
 package msgdisp
 
 import (
@@ -73,6 +83,10 @@ import (
 // entry rather than a physical URL, e.g. "logical:echo".
 const LogicalScheme = "logical:"
 
+// cxBacklog bounds requests admitted but not yet picked up by a
+// CxThread; past it Serve refuses with 503.
+const cxBacklog = 256
+
 // Config tunes a Dispatcher.
 type Config struct {
 	// Clock drives hold-open timers and timeouts.
@@ -84,8 +98,6 @@ type Config struct {
 	// CxWorkers sizes the first thread pool (incoming processing).
 	// Default 8.
 	CxWorkers int
-	// CxBacklog bounds queued unprocessed requests. Default 256.
-	CxBacklog int
 	// WsWorkers sizes the second pool: the maximum number of
 	// destinations being delivered to concurrently. Default 16.
 	WsWorkers int
@@ -103,11 +115,6 @@ type Config struct {
 	// PendingTTL is how long reply-routing state (MessageID → original
 	// ReplyTo) is retained. Default 5m.
 	PendingTTL time.Duration
-	// StateShards sets the stripe count for the dispatcher's keyed
-	// state (pending-reply waiters and per-destination queues), rounded
-	// up to a power of two. Default 64; 1 collapses to a single lock
-	// (the ablation baseline the benchmarks compare against).
-	StateShards int
 	// MarkDeadOnError flags a destination endpoint dead in the registry
 	// after a delivery failure, so logical resolution fails over to the
 	// remaining backends.
@@ -138,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.CxWorkers <= 0 {
 		c.CxWorkers = 8
 	}
-	if c.CxBacklog <= 0 {
-		c.CxBacklog = 256
-	}
 	if c.WsWorkers <= 0 {
 		c.WsWorkers = 16
 	}
@@ -158,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PendingTTL <= 0 {
 		c.PendingTTL = 5 * time.Minute
-	}
-	if c.StateShards <= 0 {
-		c.StateShards = 64
 	}
 	if c.AnonymousWait <= 0 {
 		c.AnonymousWait = 25 * time.Second
@@ -282,10 +283,10 @@ func New(reg *registry.Registry, client *httpx.Client, cfg Config) *Dispatcher {
 		cfg:      cfg,
 		registry: reg,
 		client:   client,
-		cx:       pool.New(pool.Config{Core: cfg.CxWorkers, Backlog: cfg.CxBacklog}),
-		dests:    cmap.NewSized[*destQueue](cfg.StateShards),
+		cx:       pool.New(pool.Config{Core: cfg.CxWorkers, Backlog: cxBacklog}),
+		dests:    cmap.New[*destQueue](),
 		wsSlots:  make(chan struct{}, cfg.WsWorkers),
-		pending:  cmap.NewSized[pendingReply](cfg.StateShards),
+		pending:  cmap.New[pendingReply](),
 		selfEPR:  &wsa.EPR{Address: cfg.ReturnAddress},
 		noneEPR:  &wsa.EPR{Address: wsa.None},
 	}

@@ -28,6 +28,10 @@ import (
 	"repro/internal/xmlsoap"
 )
 
+// PathPrefix is the URL prefix carrying the logical name: a call to
+// service "echo" posts to PathPrefix+"echo".
+const PathPrefix = "/rpc/"
+
 // Config tunes a Dispatcher.
 type Config struct {
 	// Clock drives timeouts; defaults to the wall clock.
@@ -36,9 +40,6 @@ type Config struct {
 	// 25s — slightly under the conventional 30s client budget so the
 	// dispatcher can still report 504 on the original connection.
 	ForwardTimeout time.Duration
-	// PathPrefix is the URL prefix carrying the logical name.
-	// Defaults to "/rpc/".
-	PathPrefix string
 	// Validate enables SOAP envelope inspection before forwarding (a
 	// standard HTTP proxy "will not be able to do any inspection of
 	// the SOAP traffic"; the WSD can). Malformed envelopes are refused
@@ -77,9 +78,6 @@ func New(reg *registry.Registry, client *httpx.Client, cfg Config) *Dispatcher {
 	if cfg.ForwardTimeout == 0 {
 		cfg.ForwardTimeout = 25 * time.Second
 	}
-	if cfg.PathPrefix == "" {
-		cfg.PathPrefix = "/rpc/"
-	}
 	return &Dispatcher{cfg: cfg, registry: reg, client: client}
 }
 
@@ -87,11 +85,11 @@ func New(reg *registry.Registry, client *httpx.Client, cfg Config) *Dispatcher {
 func (d *Dispatcher) Serve(ex *httpx.Exchange) {
 	start := d.cfg.Clock.Now()
 
-	logical, ok := strings.CutPrefix(ex.Req.Path, d.cfg.PathPrefix)
+	logical, ok := strings.CutPrefix(ex.Req.Path, PathPrefix)
 	if !ok || logical == "" || strings.Contains(logical, "/") {
 		d.BadRequests.Inc()
 		soap.ReplyFault(ex, httpx.StatusNotFound, soap.FaultClient,
-			"request path must be "+d.cfg.PathPrefix+"<logical-service-name>")
+			"request path must be "+PathPrefix+"<logical-service-name>")
 		return
 	}
 

@@ -42,10 +42,6 @@ func (f HandlerFunc) Serve(ex *Exchange) { f(ex) }
 type ServerConfig struct {
 	// Clock drives deadlines; defaults to the wall clock.
 	Clock clock.Clock
-	// ReadTimeout bounds reading one full request; 0 disables.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one full response; 0 disables.
-	WriteTimeout time.Duration
 	// IdleTimeout closes keep-alive connections with no next request.
 	// 0 means DefaultIdleTimeout.
 	IdleTimeout time.Duration
@@ -190,32 +186,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(wbuf.B) == 0 {
 			return nil
 		}
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(clk.Now().Add(s.cfg.WriteTimeout))
-		}
 		_, err := conn.Write(wbuf.B)
 		wbuf.B = wbuf.B[:0]
 		return err
 	}
 	var armed time.Time // currently armed read deadline
 	for {
-		// Idle / read deadline for the next request. With no explicit
-		// ReadTimeout the deadline is pure idle hygiene, so it is
-		// re-armed lazily — only once the armed one has less than half
-		// the window left — and a busy keep-alive connection pays one
-		// deadline update per half-window instead of one per request (a
-		// real socket turns each into a syscall; net.Pipe into a timer
-		// allocation). The effective idle timeout is then between wait/2
-		// and wait, which only ever closes an idle connection earlier,
-		// never later; clients redial transparently. A configured
-		// ReadTimeout is a per-request budget, so it re-arms every
-		// request and keeps its exact meaning.
-		wait := s.cfg.IdleTimeout
-		if s.cfg.ReadTimeout > 0 && s.cfg.ReadTimeout < wait {
-			wait = s.cfg.ReadTimeout
-		}
-		if now := clk.Now(); s.cfg.ReadTimeout > 0 || armed.Sub(now) < wait/2 {
-			armed = now.Add(wait)
+		// Idle deadline for the next request. It is pure idle hygiene,
+		// so it is re-armed lazily — only once the armed one has less
+		// than half the window left — and a busy keep-alive connection
+		// pays one deadline update per half-window instead of one per
+		// request (a real socket turns each into a syscall; net.Pipe
+		// into a timer allocation). The effective idle timeout is then
+		// between half of IdleTimeout and all of it, which only ever
+		// closes an idle connection earlier, never later; clients
+		// redial transparently.
+		if now := clk.Now(); armed.Sub(now) < s.cfg.IdleTimeout/2 {
+			armed = now.Add(s.cfg.IdleTimeout)
 			conn.SetReadDeadline(armed)
 		}
 
@@ -276,9 +263,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if bigBody != nil {
 			err := flush()
 			if err == nil {
-				if s.cfg.WriteTimeout > 0 {
-					conn.SetWriteDeadline(clk.Now().Add(s.cfg.WriteTimeout))
-				}
 				_, err = conn.Write(bigBody)
 			}
 			connClose := ex.finishRelease()

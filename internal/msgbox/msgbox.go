@@ -6,7 +6,10 @@
 //
 // Delivery (Figure 2 step 2) parks the message on the connection that
 // carried it, before the reply: 202 Accepted means the message is parked
-// (and, with a store, logged), so the very next take returns it.
+// (and, with a store, logged), so the very next take returns it. Logged
+// means what the wal package doc's "Sync policy" section says: the
+// message survives a process crash, and a power loss loses at most the
+// 5 ms group-commit window still open.
 // Deliveries on one connection are parked in the order they arrive. A
 // delivery the service cannot park is answered with a SOAP fault, never
 // 202: 404 for an unknown box, 503 for a full or released box or a store
@@ -119,6 +122,10 @@ const (
 // in the package doc).
 const MaxTakeWait = 10 * time.Second
 
+// PathPrefix is the service's HTTP mount point: the RPC endpoint, and
+// the prefix of every mailbox address.
+const PathPrefix = "/mbox"
+
 // Config tunes the service.
 type Config struct {
 	// Clock drives timestamps and take waits.
@@ -128,12 +135,10 @@ type Config struct {
 	BaseURL string
 	// BoxCap bounds messages retained per mailbox. Default 4096.
 	BoxCap int
-	// PathPrefix is the HTTP mount point. Default "/mbox".
-	PathPrefix string
 	// Store, when set, persists mailboxes and parked messages so they
 	// survive a restart (Start reloads them). The store must be
-	// dedicated to this service; durability follows its WAL sync
-	// policy. Nil keeps everything in memory.
+	// dedicated to this service; durability is the WAL's group commit
+	// (package wal, "Sync policy"). Nil keeps everything in memory.
 	Store *store.Store
 }
 
@@ -143,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BoxCap <= 0 {
 		c.BoxCap = 4096
-	}
-	if c.PathPrefix == "" {
-		c.PathPrefix = "/mbox"
 	}
 	return c
 }
@@ -275,12 +277,12 @@ func (s *Service) Boxes() int { return s.boxes.Len() }
 
 // AddressOf returns the delivery address for a mailbox ID.
 func (s *Service) AddressOf(id string) string {
-	return s.cfg.BaseURL + s.cfg.PathPrefix + "/" + id
+	return s.cfg.BaseURL + PathPrefix + "/" + id
 }
 
 // Serve implements httpx.Handler.
 func (s *Service) Serve(ex *httpx.Exchange) {
-	rest, ok := strings.CutPrefix(ex.Req.Path, s.cfg.PathPrefix)
+	rest, ok := strings.CutPrefix(ex.Req.Path, PathPrefix)
 	if !ok {
 		soap.ReplyFault(ex, httpx.StatusNotFound, soap.FaultClient, "not a mailbox path: "+ex.Req.Path)
 		return
@@ -330,8 +332,8 @@ var (
 func (s *Service) storeMessage(mb *Mailbox, payload []byte) error {
 	var sid string
 	if st := s.cfg.Store; st != nil {
-		// Write-ahead: the record is durable (per the WAL sync policy)
-		// before the message becomes visible in the box. A store refusal
+		// Write-ahead: the record is on the log (package wal, "Sync
+		// policy") before the message becomes visible in the box. A store refusal
 		// refuses the delivery: accepting a message durability was
 		// promised for but not delivered would be lying to the sender.
 		sid = wsa.NewMessageID()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/soap"
 	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/internal/xmlsoap"
 )
 
@@ -58,10 +57,6 @@ func settledPoolLive() int64 {
 func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	defer clk.Stop()
-	// SyncAlways fsyncs inside request handlers. A real fsync can outlast
-	// the Virtual pump's default 50µs quiescence window, which would make
-	// idle-looking disk I/O jump virtual time to the client timeout.
-	clk.SetGrace(5 * time.Millisecond)
 	nw := netsim.New(clk, 31)
 	po := nw.AddHost("po", netsim.ProfileLAN())
 	cli := nw.AddHost("cli", netsim.ProfileLAN())
@@ -71,7 +66,7 @@ func TestStoreBackedMailboxSurvivesRestart(t *testing.T) {
 
 	openStore := func() *store.Store {
 		t.Helper()
-		st, err := store.Open(clk, dir, store.Options{WAL: wal.Config{Sync: wal.SyncAlways}})
+		st, err := store.Open(clk, dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/soap"
 	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/internal/xmlsoap"
 )
 
@@ -20,7 +19,7 @@ import (
 // and Close: these tests restart the process, they do not crash it.
 func openDurable(tb testing.TB, dir string) *store.Store {
 	tb.Helper()
-	st, err := store.Open(clock.Wall, dir, store.Options{WAL: wal.Config{Sync: wal.SyncNever}})
+	st, err := store.Open(clock.Wall, dir, store.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

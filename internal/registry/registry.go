@@ -9,6 +9,37 @@
 // the hot path) and adds the future-work items §4.4 sketches: multiple
 // physical endpoints per logical name with load-balancing policies,
 // "checking if service is alive", and browseable WSDL metadata.
+//
+// # Concurrency
+//
+// The registry is safe for lock-free readers under concurrent writers.
+// Entries are copy-on-write: Endpoints returns an immutable snapshot
+// slice published through an atomic.Pointer, writers serialize on a
+// per-entry mutex and publish a fresh copy, and Doc loads the WSDL
+// atomically. Never mutate a returned slice, and never cache it past
+// the decision it informed; call Endpoints again for fresh health.
+// Register, SetDoc, Resolve, ResolveN and MarkDead/MarkAlive interleave
+// freely (TestConcurrentRegisterResolve fences the mix under -race).
+// The two name tables are cmap maps, striped over cmap's fixed 64
+// shards.
+//
+// # Health-aware selection and failover
+//
+// ResolveN fills a caller-owned array with up to len(dst) live
+// endpoints in policy preference order, without allocating; it tells
+// ErrUnknownService (404) from ErrNoLiveEndpoint (503, every backend
+// dead). Resolve is the single-endpoint wrapper. Round-robin rotates
+// once per resolution over the live subset only
+// (TestRoundRobinAcrossDeathAndRevival).
+//
+// The component that observes a delivery failure marks the endpoint
+// dead, gated on its own MarkDeadOnError: rpcdisp marks by (logical,
+// URL) inside its retry-once loop, at most one failover per exchange;
+// msgdisp's delivery threads know only the physical destination, so
+// they mark through MarkDeadURL, which scans every entry. CheckAlive
+// snapshots the endpoints first and probes them concurrently, bounded by
+// the caller's timeout, never holding a registry lock while it probes.
+// msgdisp's TestLoadgenFailoverAcrossBackendKill is the end-to-end fence.
 package registry
 
 import (

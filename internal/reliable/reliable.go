@@ -39,8 +39,6 @@ type Config struct {
 	DefaultTTL time.Duration
 	// AttemptTimeout bounds one delivery attempt. Default 21s.
 	AttemptTimeout time.Duration
-	// Workers is the number of concurrent delivery loops. Default 4.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -59,11 +57,11 @@ func (c Config) withDefaults() Config {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 21 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	return c
 }
+
+// workers is the number of concurrent delivery loops.
+const workers = 4
 
 // Courier is the reliable delivery agent.
 type Courier struct {
@@ -97,7 +95,7 @@ func New(st *store.Store, client *httpx.Client, cfg Config) *Courier {
 // Start launches the delivery workers and requeues any messages already
 // pending in the store (crash recovery).
 func (c *Courier) Start() {
-	for i := 0; i < c.cfg.Workers; i++ {
+	for range workers {
 		c.done.Add(1)
 		go c.worker()
 	}

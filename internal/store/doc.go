@@ -12,9 +12,11 @@
 // segmented, checksummed log BEFORE the in-memory index changes, and the
 // append error — if any — is returned to the caller, so Put/Delete/
 // MarkAttempt cannot report success for a record that never reached the
-// log ("accepted" means "on the log"). Open replays the log on start; a
-// torn tail from a crash mid-append is truncated away by the WAL layer,
-// never fatal.
+// log ("accepted" means "on the log": it survives a process crash, and
+// a power loss loses at most the open group-commit window, as the wal
+// package doc's "Sync policy" section states). Open replays the log on
+// start; a torn tail from a crash mid-append is truncated away by the
+// WAL layer, never fatal.
 //
 // The store's WAL record is an op byte ('p' put, 'd' delete, 'a'
 // attempt). A put carries a flags byte, the uvarint-length-prefixed ID

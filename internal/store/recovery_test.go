@@ -20,7 +20,7 @@ import (
 func TestRecoverySteadyStateAllocs(t *testing.T) {
 	const records = 10000
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := Options{WAL: wal.Config{Sync: wal.SyncNever}}
+	opts := Options{}
 	s, err := Open(clock.Wall, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestRecoverySteadyStateAllocs(t *testing.T) {
 // that segment's buffer; the other segment's buffer stays.
 func TestRecoveryBufferReleased(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := Options{WAL: wal.Config{Sync: wal.SyncNever, SegmentSize: 8 << 10}, CompactAt: 1 << 40}
+	opts := Options{WAL: wal.Config{SegmentSize: 8 << 10}, CompactAt: 1 << 40}
 	s, err := Open(clock.Wall, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func weakPayload(t *testing.T, s *Store, id string) weak.Pointer[byte] {
 func BenchmarkStoreOpen(b *testing.B) {
 	const records = 50000
 	dir := filepath.Join(b.TempDir(), "wal")
-	opts := Options{WAL: wal.Config{Sync: wal.SyncNever}}
+	opts := Options{}
 	s, err := Open(clock.Wall, dir, opts)
 	if err != nil {
 		b.Fatal(err)

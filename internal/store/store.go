@@ -168,8 +168,9 @@ func New(clk clock.Clock) *Store {
 
 // Options tunes a durable store.
 type Options struct {
-	// WAL configures the backing log (sync policy, segment size, clock —
-	// the store's clock is used when unset).
+	// WAL configures the backing log (segment size, record bound, and
+	// the clock of its group-commit window — the store's clock is used
+	// when unset).
 	WAL wal.Config
 	// CompactAt is the log size (bytes) above which auto-compaction may
 	// run; the log must also exceed twice the live state. Default 1 MiB.
@@ -215,8 +216,8 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Sync forces any buffered WAL appends to disk (a no-op for in-memory
-// stores and under wal.SyncAlways).
+// Sync fsyncs WAL appends the open group-commit window has not yet
+// covered (a no-op for in-memory stores).
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -374,9 +375,9 @@ func (s *Store) appendStagedLocked() error {
 }
 
 // Put stores a message. The ID must be unique among live messages. With
-// a WAL attached, the record is on the log (durable per the configured
-// sync policy) before Put returns nil; a log error is returned and the
-// message is NOT stored.
+// a WAL attached, the record is on the log (durable as package wal's
+// "Sync policy" states) before Put returns nil; a log error is returned
+// and the message is NOT stored.
 //
 // Put keeps m.Payload without copying it: the caller hands the slice
 // over and must not modify it afterwards. The Message struct itself is

@@ -160,7 +160,7 @@ func TestAutoCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	s, err := Open(clock.Wall, dir, Options{
 		CompactAt: 4 << 10,
-		WAL:       wal.Config{Sync: wal.SyncNever, SegmentSize: 2 << 10},
+		WAL:       wal.Config{SegmentSize: 2 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestAutoCompaction(t *testing.T) {
 // depends on the cut.
 func TestWALStoreCrashConsistency(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	s, err := Open(clock.Wall, dir, Options{WAL: wal.Config{Sync: wal.SyncNever}})
+	s, err := Open(clock.Wall, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,35 +273,27 @@ func TestWALStoreCrashConsistency(t *testing.T) {
 }
 
 // BenchmarkStorePutDelete measures the durable mutation cycle: one Put
-// and one Delete per op, each a WAL append, under the production
-// group-commit policy and with fsync off (the encode+frame+write cost).
+// and one Delete per op, each a WAL append under group commit.
 func BenchmarkStorePutDelete(b *testing.B) {
 	payload := make([]byte, 256)
-	for _, mode := range []struct {
-		name string
-		sync wal.SyncPolicy
-	}{{"nosync", wal.SyncNever}, {"group", wal.SyncInterval}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s, err := Open(clock.Wall, filepath.Join(b.TempDir(), "wal"),
-				Options{WAL: wal.Config{Sync: mode.sync, SegmentSize: 1 << 30}, CompactAt: 1 << 40})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			m := &Message{Destination: "http://dest:1/svc", Payload: payload}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ID = fmt.Sprintf("bench-%09d", i)
-				m.Enqueued = time.Time{}
-				if err := s.Put(m); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Delete(m.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s, err := Open(clock.Wall, filepath.Join(b.TempDir(), "wal"),
+		Options{WAL: wal.Config{SegmentSize: 1 << 30}, CompactAt: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	m := &Message{Destination: "http://dest:1/svc", Payload: payload}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ID = fmt.Sprintf("bench-%09d", i)
+		m.Enqueued = time.Time{}
+		if err := s.Put(m); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Delete(m.ID); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -338,7 +330,7 @@ func storeState(s *Store) []string {
 // store holds, mutations during the compaction included.
 func TestMutationsDuringCompact(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := Options{WAL: wal.Config{Sync: wal.SyncNever, SegmentSize: 4 << 10}, CompactAt: 1 << 40}
+	opts := Options{WAL: wal.Config{SegmentSize: 4 << 10}, CompactAt: 1 << 40}
 	s, err := Open(clock.Wall, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +422,7 @@ func TestMutationsDuringCompact(t *testing.T) {
 func TestAutoCompactionInBackground(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	const compactAt = 8 << 10
-	opts := Options{CompactAt: compactAt, WAL: wal.Config{Sync: wal.SyncNever, SegmentSize: 2 << 10}}
+	opts := Options{CompactAt: compactAt, WAL: wal.Config{SegmentSize: 2 << 10}}
 	s, err := Open(clock.Wall, dir, opts)
 	if err != nil {
 		t.Fatal(err)

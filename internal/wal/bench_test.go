@@ -9,10 +9,12 @@ import (
 // TestWALAppendSteadyStateAllocs is the CI allocation gate for the
 // append hot path: encoding rides a pooled scratch and the frame leaves
 // in one write, so a steady-state append allocates NOTHING. Runs with
-// the pool checker on (TestMain), like the codec gates.
+// the pool checker on (TestMain), like the codec gates. The window runs
+// on a stopped clock, so the count is Append's own and not a background
+// fsync goroutine's.
 func TestWALAppendSteadyStateAllocs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(dir, Config{Sync: SyncNever, SegmentSize: 1 << 30}, nil)
+	l, err := Open(dir, Config{Clock: stoppedClock(), SegmentSize: 1 << 30}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,35 +37,26 @@ func TestWALAppendSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkWALAppend measures one 256-byte record append per op under
-// each sync policy: nosync is the raw encode+write path (the allocation
-// gate reads against this), group is the production default (the fsync
-// cost amortizes across the commit window), always is the
-// one-fsync-per-record worst case.
+// group commit: the encode+write path, with the window's fsync
+// amortized across every append made in it.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	enc := func(dst []byte) []byte { return append(dst, payload...) }
-	for _, mode := range []struct {
-		name string
-		sync SyncPolicy
-	}{{"nosync", SyncNever}, {"group", SyncInterval}, {"always", SyncAlways}} {
-		b.Run(mode.name, func(b *testing.B) {
-			dir := filepath.Join(b.TempDir(), "wal")
-			l, err := Open(dir, Config{Sync: mode.sync, SegmentSize: 1 << 30}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.Append(enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	dir := filepath.Join(b.TempDir(), "wal")
+	l, err := Open(dir, Config{SegmentSize: 1 << 30}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.Append(enc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -72,7 +65,7 @@ func BenchmarkWALAppend(b *testing.B) {
 func BenchmarkWALRecovery(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "wal")
 	const records = 4096
-	l, err := Open(dir, Config{Sync: SyncNever, SegmentSize: 1 << 20}, nil)
+	l, err := Open(dir, Config{SegmentSize: 1 << 20}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +83,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		l, err := Open(dir, Config{Sync: SyncNever, SegmentSize: 1 << 20}, func(rec []byte) error {
+		l, err := Open(dir, Config{SegmentSize: 1 << 20}, func(rec []byte) error {
 			n++
 			return nil
 		})

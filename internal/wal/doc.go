@@ -51,9 +51,9 @@
 // repair, and Open fails with ErrCorrupt. A compact.tmp left by an
 // interrupted compaction is deleted on open. The fault-injection suite
 // (faultinject_test.go) pins short-write, failed-sync, failed-rotation,
-// failed-snapshot and off-lock window-sync behaviour, and FuzzWALRecover
-// checks that arbitrary segment bytes replay exactly their longest valid
-// record prefix.
+// failed-snapshot, off-lock window-sync and power-loss behaviour, and
+// FuzzWALRecover checks that arbitrary segment bytes replay exactly
+// their longest valid record prefix.
 //
 // # Compaction
 //
@@ -78,19 +78,21 @@
 //
 // # Sync policy
 //
-// SyncAlways fsyncs before every Append returns: a successful Put is on
-// disk. SyncInterval (the default) is group commit — appends mark the
-// log dirty and one fsync per 5 ms window covers every append in it,
-// riding a clock.AfterFunc timer so Virtual-clock tests exercise the
-// policy deterministically; a crash loses at most the open window. The window's fsync runs with the log mutex released, so
-// appends do not wait behind the disk; rotation, compaction, Sync and
-// Close wait for an fsync in flight. SyncNever leaves flushing to the
-// OS. In every mode the write itself reaches the kernel before Append
-// returns; the policy only chooses when it reaches the platter.
-// Virtual-clock netsim tests running SyncAlways must widen the pump's
-// quiescence window (clock.Virtual.SetGrace): a real fsync on a handler
-// goroutine reads as idleness and jumps virtual time into request
-// timeouts.
+// There is one policy, group commit, and it is what an accepted message
+// means. Append writes the record to the kernel before it returns, so a
+// store mutation that returned nil (a WS-MsgBox deposit answered 202, a
+// message handed to the hold/retry courier) survives a process crash:
+// kill -9 loses nothing. Appends mark the log dirty, and one fsync per
+// 5 ms window covers every append made in it, so a power loss or kernel
+// crash loses at most the appends of the window still open. The window
+// rides a clock.AfterFunc timer, so Virtual-clock tests drive it
+// deterministically, and a stopped Virtual clock turns it off for tests
+// that count fsyncs or inject faults. The window's fsync runs with the
+// log mutex released, so appends do not wait behind the disk; rotation,
+// compaction, Sync and Close wait for an fsync in flight. Sync, Close
+// and rotation fsync at once. TestPowerLossLosesOnlyOpenWindow pins the
+// power-loss half: after a loss, the log recovers a prefix of its
+// appends that includes every window whose fsync completed.
 //
 // A write or sync error both surfaces to the caller (for a window's
 // fsync, the next caller) AND poisons the log: every later Append fails

@@ -3,10 +3,12 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,18 +18,30 @@ import (
 // byte budget (short-writes then fails once exhausted), a sync-failure
 // switch, and an open-failure countdown. Setting budget to -1 and the
 // switches off "heals" the fault without uninstalling the hook, so one
-// test can crash the log and then recover it.
+// test can crash the log and then recover it. Every file the hook
+// opened is kept in files, so powerLoss can cut each back to its last
+// completed fsync.
 type fault struct {
 	budget    int // bytes writable before failure; -1 = unlimited
 	syncFails bool
 	openFails bool
+	files     []*faultFile
 }
 
 var errInjected = errors.New("injected fault")
 
+// faultFile wraps a segment file. Besides the injected faults it keeps
+// a synced-length watermark: the file's length when its last fsync
+// began, which is all a completed fsync promises to be on disk. The
+// window's fsync runs off the log lock, so the counts sit under mu.
 type faultFile struct {
-	f  segFile
-	ft *fault
+	f    segFile
+	ft   *fault
+	path string
+
+	mu      sync.Mutex
+	written int64 // file length, headers included
+	synced  int64 // length covered by the last completed fsync
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
@@ -35,24 +49,43 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		if ff.ft.budget >= 0 {
 			ff.ft.budget -= len(p)
 		}
-		return ff.f.Write(p)
+		n, err := ff.f.Write(p)
+		ff.grow(n)
+		return n, err
 	}
 	// Short write: the torn-tail case a real crash produces.
 	n := ff.ft.budget
 	ff.ft.budget = 0
 	if n > 0 {
-		if wn, err := ff.f.Write(p[:n]); err != nil {
+		wn, err := ff.f.Write(p[:n])
+		ff.grow(wn)
+		if err != nil {
 			return wn, err
 		}
 	}
 	return n, errInjected
 }
 
+func (ff *faultFile) grow(n int) {
+	ff.mu.Lock()
+	ff.written += int64(n)
+	ff.mu.Unlock()
+}
+
 func (ff *faultFile) Sync() error {
 	if ff.ft.syncFails {
 		return errInjected
 	}
-	return ff.f.Sync()
+	ff.mu.Lock()
+	covered := ff.written
+	ff.mu.Unlock()
+	if err := ff.f.Sync(); err != nil {
+		return err
+	}
+	ff.mu.Lock()
+	ff.synced = max(ff.synced, covered)
+	ff.mu.Unlock()
+	return nil
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
@@ -69,9 +102,36 @@ func installFault(t *testing.T, ft *fault) {
 		if err != nil {
 			return nil, err
 		}
-		return &faultFile{f: f, ft: ft}, nil
+		// A file that existed before is taken as synced: the log that
+		// wrote it closed it, and Close fsyncs.
+		fi, err := os.Stat(path)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		ff := &faultFile{f: f, ft: ft, path: path, written: fi.Size(), synced: fi.Size()}
+		ft.files = append(ft.files, ff)
+		return ff, nil
 	}
 	t.Cleanup(func() { openSegFile = orig })
+}
+
+// powerLoss models the machine losing power under a live log: every
+// file the hook opened is closed without an fsync and cut back to the
+// length its last completed fsync covered. The log itself is abandoned,
+// as a crashed process would leave it.
+func (ft *fault) powerLoss(t *testing.T) {
+	t.Helper()
+	for _, ff := range ft.files {
+		ff.f.Close() // a sealed segment is closed already
+		ff.mu.Lock()
+		synced := ff.synced
+		ff.mu.Unlock()
+		if err := os.Truncate(ff.path, synced); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+	ft.files = nil
 }
 
 // TestFaultShortWriteRecovered: a short write mid-record surfaces the
@@ -79,7 +139,7 @@ func installFault(t *testing.T, ft *fault) {
 // truncates away — the fully-written records survive.
 func TestFaultShortWriteRecovered(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncNever})
+	l, _ := collect(t, dir, Config{Clock: stoppedClock()})
 	for _, s := range []string{"whole-one", "whole-two"} {
 		if err := l.Append(encStr(s)); err != nil {
 			t.Fatal(err)
@@ -90,7 +150,7 @@ func TestFaultShortWriteRecovered(t *testing.T) {
 	ft := &fault{budget: -1} // healthy while Open reopens the tail
 	installFault(t, ft)
 	var got []string
-	l2, err := Open(dir, Config{Sync: SyncNever}, func(rec []byte) error {
+	l2, err := Open(dir, Config{Clock: stoppedClock()}, func(rec []byte) error {
 		got = append(got, string(rec))
 		return nil
 	})
@@ -112,7 +172,7 @@ func TestFaultShortWriteRecovered(t *testing.T) {
 	l2.Close()
 
 	ft.budget = -1 // heal
-	l3, got := collect(t, dir, Config{Sync: SyncNever})
+	l3, got := collect(t, dir, Config{Clock: stoppedClock()})
 	if len(got) != 2 || got[0] != "whole-one" || got[1] != "whole-two" {
 		t.Fatalf("recovered %q, want the two whole records", got)
 	}
@@ -125,7 +185,7 @@ func TestFaultShortWriteRecovered(t *testing.T) {
 	if err := l3.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	l4, got := collect(t, dir, Config{Sync: SyncNever})
+	l4, got := collect(t, dir, Config{Clock: stoppedClock()})
 	defer l4.Close()
 	if len(got) != 3 || got[2] != "post-recovery" {
 		t.Fatalf("final state %q", got)
@@ -144,7 +204,7 @@ func TestFaultShortWriteMidSnapshot(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "wal")
 			ft := &fault{budget: -1}
 			installFault(t, ft)
-			l, _ := collect(t, dir, Config{Sync: SyncNever})
+			l, _ := collect(t, dir, Config{Clock: stoppedClock()})
 			for i := 0; i < records; i++ {
 				if err := l.Append(encStr(rec)); err != nil {
 					t.Fatal(err)
@@ -170,7 +230,7 @@ func TestFaultShortWriteMidSnapshot(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			l2, got := collect(t, dir, Config{Sync: SyncNever})
+			l2, got := collect(t, dir, Config{Clock: stoppedClock()})
 			defer l2.Close()
 			if len(got) != records {
 				t.Fatalf("replayed %d records after the failed compaction, want %d", len(got), records)
@@ -197,20 +257,25 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestFaultSyncFailureSticky: a failed fsync under SyncAlways surfaces
-// to the caller and poisons the log — "durable" cannot silently degrade
-// to "maybe".
+// TestFaultSyncFailureSticky: a failed fsync surfaces to the caller
+// and poisons the log — "durable" cannot silently degrade to "maybe".
 func TestFaultSyncFailureSticky(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	ft := &fault{budget: -1}
 	installFault(t, ft)
-	l, _ := collect(t, dir, Config{Sync: SyncAlways})
+	l, _ := collect(t, dir, Config{Clock: stoppedClock()})
 	if err := l.Append(encStr("synced-fine")); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	ft.syncFails = true
-	if err := l.Append(encStr("sync-fails")); !errors.Is(err, errInjected) {
-		t.Fatalf("append with failing fsync: err = %v", err)
+	if err := l.Append(encStr("sync-fails")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync with failing fsync: err = %v", err)
 	}
 	if err := l.Append(encStr("after")); !errors.Is(err, errInjected) {
 		t.Fatalf("poisoned log accepted an append: %v", err)
@@ -222,10 +287,83 @@ func TestFaultSyncFailureSticky(t *testing.T) {
 	ft.syncFails = false
 	// Both records' bytes reached the file (the process didn't die);
 	// only the durability guarantee failed. Recovery sees them whole.
-	l2, got := collect(t, dir, Config{Sync: SyncAlways})
+	l2, got := collect(t, dir, Config{Clock: stoppedClock()})
 	defer l2.Close()
 	if len(got) != 2 {
 		t.Fatalf("recovered %q", got)
+	}
+}
+
+// TestPowerLossLosesOnlyOpenWindow holds group commit (package doc,
+// "Sync policy") to its promise across a power loss, which cuts every
+// segment back to its last completed fsync. The log runs on a stopped
+// Virtual clock, so a window closes only when the test advances it.
+// Whatever the loss point, the log recovers a prefix of its appends,
+// and the prefix holds every record a completed fsync covered: each
+// window that closed before the loss, and each segment a rotation
+// sealed. Only the open window's appends may go.
+func TestPowerLossLosesOnlyOpenWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		segment int64
+		// windows lists each window's appends. Every window but the
+		// last closes with its fsync; the last closes only if
+		// lastCloses is set.
+		windows    []int
+		lastCloses bool
+	}{
+		{"mid-window", 0, []int{5, 7, 4}, false},
+		{"after-window-fsync", 0, []int{5, 7}, true},
+		// 17-byte frames in 256-byte segments: the second window's
+		// appends rotate twice and leave 9 records unsynced.
+		{"after-rotation", 256, []int{9, 30}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			ft := &fault{budget: -1}
+			installFault(t, ft)
+			vc := stoppedClock()
+			l, _ := collect(t, dir, Config{Clock: vc, SegmentSize: tc.segment})
+			var want []string
+			covered := 0 // appends a completed fsync covers
+			for w, n := range tc.windows {
+				for i := 0; i < n; i++ {
+					rotations := l.Rotations.Value()
+					s := fmt.Sprintf("rec-%d-%03d", w, i)
+					if err := l.Append(encStr(s)); err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, s)
+					if l.Rotations.Value() != rotations {
+						covered = len(want) // rotation fsyncs before it seals
+					}
+				}
+				if w < len(tc.windows)-1 || tc.lastCloses {
+					base := l.Syncs.Value()
+					vc.Advance(syncEvery)
+					waitSyncs(t, l, base, 1)
+					covered = len(want)
+				}
+			}
+			ft.powerLoss(t)
+
+			l2, got := collect(t, dir, Config{Clock: stoppedClock(), SegmentSize: tc.segment})
+			defer l2.Close()
+			if len(got) > len(want) {
+				t.Fatalf("recovered %d records from %d appends", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("record %d = %q, want %q: not a prefix of the appends", i, got[i], want[i])
+				}
+			}
+			if len(got) < covered {
+				t.Fatalf("recovered %d records, but an fsync had completed for %d", len(got), covered)
+			}
+			if lost := len(want) - len(got); tc.lastCloses != (lost == 0) {
+				t.Fatalf("lost %d of the open window's %d appends", lost, len(want)-covered)
+			}
+		})
 	}
 }
 
@@ -236,7 +374,7 @@ func TestFaultRotationOpenFails(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	ft := &fault{budget: -1}
 	installFault(t, ft)
-	l, _ := collect(t, dir, Config{Sync: SyncNever, SegmentSize: 64})
+	l, _ := collect(t, dir, Config{Clock: stoppedClock(), SegmentSize: 64})
 	var want []string
 	var rotErr error
 	for i := 0; ; i++ {
@@ -260,7 +398,7 @@ func TestFaultRotationOpenFails(t *testing.T) {
 	}
 	l.Close()
 	ft.openFails = false
-	l2, got := collect(t, dir, Config{Sync: SyncNever, SegmentSize: 64})
+	l2, got := collect(t, dir, Config{Clock: stoppedClock(), SegmentSize: 64})
 	defer l2.Close()
 	// The record whose append triggered the failed rotation WAS written
 	// and sealed before rotation started, so it survives too.
@@ -321,7 +459,7 @@ func installGate(t *testing.T, g *syncGate) {
 func TestWindowSyncOffLock(t *testing.T) {
 	g := &syncGate{entered: make(chan struct{}), release: make(chan error)}
 	installGate(t, g)
-	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{Sync: SyncInterval})
+	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{})
 	defer l.Close()
 	awaitEntered := func() {
 		t.Helper()
@@ -381,7 +519,7 @@ func TestFaultSnapshotFailsAfterCut(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	ft := &fault{budget: -1}
 	installFault(t, ft)
-	cfg := Config{Sync: SyncNever, SegmentSize: 256}
+	cfg := Config{Clock: stoppedClock(), SegmentSize: 256}
 	l, _ := collect(t, dir, cfg)
 	var want []string
 	add := func(s string) {

@@ -45,7 +45,7 @@ func readerRunning() bool {
 // the error comes.
 func TestReplayErrorStopsReader(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	cfg := Config{Sync: SyncNever, SegmentSize: 1 << 10}
+	cfg := Config{SegmentSize: 1 << 10}
 	l, _ := collect(t, dir, cfg)
 	const records = 400
 	for i := 0; i < records; i++ {
@@ -128,7 +128,7 @@ func TestCorruptRecordMidSealedSegment(t *testing.T) {
 				}
 			}
 			n := 0
-			_, err := Open(dir, Config{Sync: SyncNever, SegmentSize: seg}, func(rec []byte) error {
+			_, err := Open(dir, Config{SegmentSize: seg}, func(rec []byte) error {
 				if n >= bad || !bytes.Equal(rec, recs[n]) {
 					t.Fatalf("replayed %.5q as record %d; the damage is at record %d", rec, n, bad)
 				}
@@ -153,7 +153,7 @@ func TestCorruptRecordMidSealedSegment(t *testing.T) {
 func TestRecordLargerThanSegmentStraddles(t *testing.T) {
 	const seg = 4 << 10
 	dir := filepath.Join(t.TempDir(), "wal")
-	cfg := Config{Sync: SyncNever, SegmentSize: seg}
+	cfg := Config{SegmentSize: seg}
 	l, _ := collect(t, dir, cfg)
 	var want []string
 	add := func(s string) {
@@ -245,7 +245,7 @@ func copyDir(t *testing.T, dir string) string {
 // install, recover the snapshot followed by them.
 func TestCompactionCutWindows(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	cfg := Config{Sync: SyncNever, SegmentSize: 64}
+	cfg := Config{SegmentSize: 64}
 	l, _ := collect(t, dir, cfg)
 	var old []string
 	for i := 0; i < 20; i++ {
@@ -407,7 +407,7 @@ func FuzzWALRecover(f *testing.F) {
 		sealedRecs, sealedEnd := validPrefix(sealed)
 		finalRecs, finalEnd := validPrefix(final)
 		var got []string
-		l, err := Open(dir, Config{Sync: SyncNever, SegmentSize: 64, MaxRecord: fuzzMaxRecord}, func(rec []byte) error {
+		l, err := Open(dir, Config{SegmentSize: 64, MaxRecord: fuzzMaxRecord}, func(rec []byte) error {
 			got = append(got, string(rec))
 			return nil
 		})

@@ -22,24 +22,10 @@ import (
 	"repro/internal/xmlsoap"
 )
 
-// syncEvery is SyncInterval's group-commit window: a crash loses at most
-// the appends of the last one.
+// syncEvery is the group-commit window: one fsync covers every append
+// made in it, so a power loss loses at most the appends of the open
+// window (see "Sync policy" in the package doc).
 const syncEvery = 5 * time.Millisecond
-
-// SyncPolicy selects when appended records are fsynced.
-type SyncPolicy int
-
-const (
-	// SyncInterval batches fsyncs: one per syncEvery window that saw an
-	// append (group commit). The default.
-	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs before every Append returns.
-	SyncAlways
-	// SyncNever never fsyncs explicitly; the OS flushes on its own
-	// schedule. Fastest, and loses up to the OS's writeback window on
-	// power failure — process crashes lose nothing in any mode.
-	SyncNever
-)
 
 // Config tunes a Log.
 type Config struct {
@@ -48,8 +34,6 @@ type Config struct {
 	// SegmentSize is the size at which the active segment rotates.
 	// Default 4 MiB.
 	SegmentSize int64
-	// Sync selects the fsync policy. Default SyncInterval.
-	Sync SyncPolicy
 	// MaxRecord bounds one record's payload; larger appends fail and
 	// larger on-disk lengths are treated as corruption. Default 16 MiB.
 	MaxRecord int
@@ -504,8 +488,9 @@ func syncDir(dir string) error {
 // Append writes one record. The encode callback must append the record
 // payload to dst and return the extended slice — the payload is
 // assembled directly in the log's pooled scratch (one copy, zero
-// steady-state allocations) and leaves in one write. The record is
-// durable per the configured SyncPolicy when Append returns.
+// steady-state allocations) and leaves in one write. The record has
+// reached the kernel when Append returns, and the open group-commit
+// window's fsync puts it on disk.
 //
 // A write or sync failure is returned AND poisons the log: the tail may
 // hold a partial record, so every later Append fails with the same
@@ -560,16 +545,9 @@ func (l *Log) appendLocked(scratch *xmlsoap.Buffer, encode func(dst []byte) []by
 	return nil
 }
 
-// commitLocked applies the sync policy and rotates a full segment.
+// commitLocked arms the group-commit window and rotates a full segment.
 func (l *Log) commitLocked() error {
-	switch l.cfg.Sync {
-	case SyncAlways:
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-	case SyncInterval:
-		l.armSyncLocked()
-	}
+	l.armSyncLocked()
 	if l.active.size >= l.cfg.SegmentSize {
 		return l.rotateLocked()
 	}
@@ -679,7 +657,7 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of any unsynced appends, regardless of policy.
+// Sync fsyncs any unsynced appends now, without waiting for the window.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -20,6 +20,15 @@ func encStr(s string) func([]byte) []byte {
 	return func(dst []byte) []byte { return append(dst, s...) }
 }
 
+// stoppedClock returns a Virtual clock with its pump stopped: the
+// group-commit window fires only when the test calls Advance, so a test
+// that counts fsyncs or injects faults has no timer goroutine racing it.
+func stoppedClock() *clock.Virtual {
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	vc.Stop()
+	return vc
+}
+
 // collect opens dir and returns every replayed record as a string.
 func collect(t *testing.T, dir string, cfg Config) (*Log, []string) {
 	t.Helper()
@@ -36,7 +45,7 @@ func collect(t *testing.T, dir string, cfg Config) (*Log, []string) {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, got := collect(t, dir, Config{Sync: SyncNever})
+	l, got := collect(t, dir, Config{})
 	if len(got) != 0 {
 		t.Fatalf("fresh log replayed %d records", len(got))
 	}
@@ -49,7 +58,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	l2, got := collect(t, dir, Config{Sync: SyncNever})
+	l2, got := collect(t, dir, Config{})
 	defer l2.Close()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d (%q)", len(got), len(want), got)
@@ -72,7 +81,7 @@ func TestOpenMissingParentDirFails(t *testing.T) {
 }
 
 func TestAppendTooLarge(t *testing.T) {
-	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{Sync: SyncNever, MaxRecord: 16})
+	l, _ := collect(t, filepath.Join(t.TempDir(), "wal"), Config{MaxRecord: 16})
 	defer l.Close()
 	err := l.Append(func(dst []byte) []byte { return append(dst, make([]byte, 17)...) })
 	if !errors.Is(err, ErrTooLarge) {
@@ -106,7 +115,7 @@ func TestClosedLog(t *testing.T) {
 // and persist new appends.
 func TestTornTailEveryByteOffset(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, base, Config{Sync: SyncNever})
+	l, _ := collect(t, base, Config{})
 	records := []string{"first-record", "second", "third-one-is-longest-of-all", "4"}
 	var boundaries []int64 // file size after each whole record
 	boundaries = append(boundaries, headerSize)
@@ -145,7 +154,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%012d%s", 1, segSuffix)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, got := collect(t, dir, Config{Sync: SyncNever})
+		l2, got := collect(t, dir, Config{})
 		want := records[:wholeBefore(cut)]
 		if len(got) != len(want) {
 			t.Fatalf("cut=%d: recovered %d records (%q), want %d", cut, len(got), got, len(want))
@@ -162,7 +171,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		if err := l2.Close(); err != nil {
 			t.Fatalf("cut=%d: close: %v", cut, err)
 		}
-		l3, got := collect(t, dir, Config{Sync: SyncNever})
+		l3, got := collect(t, dir, Config{})
 		if len(got) != len(want)+1 || got[len(got)-1] != "post-crash" {
 			t.Fatalf("cut=%d: second recovery got %q, want %q + post-crash", cut, got, want)
 		}
@@ -175,7 +184,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 // the rest.
 func TestCorruptTailBitFlip(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, base, Config{Sync: SyncNever})
+	l, _ := collect(t, base, Config{})
 	for _, s := range []string{"keep-a", "keep-b", "doomed-tail-record"} {
 		if err := l.Append(encStr(s)); err != nil {
 			t.Fatal(err)
@@ -198,7 +207,7 @@ func TestCorruptTailBitFlip(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%012d%s", 1, segSuffix)), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, got := collect(t, dir, Config{Sync: SyncNever})
+		l2, got := collect(t, dir, Config{})
 		// Flipping a length byte can make the frame claim more bytes
 		// than remain (torn) or fewer (checksum covers wrong span) —
 		// either way the tail record must vanish and the prefix hold.
@@ -218,7 +227,7 @@ func TestCorruptTailBitFlip(t *testing.T) {
 func TestCorruptMiddleSegmentFatal(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	// Tiny segments force a rotation per record.
-	l, _ := collect(t, dir, Config{Sync: SyncNever, SegmentSize: headerSize + 1})
+	l, _ := collect(t, dir, Config{SegmentSize: headerSize + 1})
 	for _, s := range []string{"seg-one", "seg-two", "seg-three"} {
 		if err := l.Append(encStr(s)); err != nil {
 			t.Fatal(err)
@@ -237,7 +246,7 @@ func TestCorruptMiddleSegmentFatal(t *testing.T) {
 	if err := os.WriteFile(seg1, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(dir, Config{Sync: SyncNever}, nil)
+	_, err = Open(dir, Config{}, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open with corrupt sealed segment: %v, want ErrCorrupt", err)
 	}
@@ -245,7 +254,7 @@ func TestCorruptMiddleSegmentFatal(t *testing.T) {
 
 func TestRotationReplaysAcrossSegments(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncNever, SegmentSize: 64})
+	l, _ := collect(t, dir, Config{SegmentSize: 64})
 	var want []string
 	for i := 0; i < 40; i++ {
 		s := fmt.Sprintf("record-%03d", i)
@@ -262,7 +271,7 @@ func TestRotationReplaysAcrossSegments(t *testing.T) {
 		t.Fatalf("Segments() = %d, want >= 2", segs)
 	}
 	l.Close()
-	l2, got := collect(t, dir, Config{Sync: SyncNever, SegmentSize: 64})
+	l2, got := collect(t, dir, Config{SegmentSize: 64})
 	defer l2.Close()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
@@ -279,7 +288,7 @@ func TestRotationReplaysAcrossSegments(t *testing.T) {
 
 func TestCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncNever, SegmentSize: 64})
+	l, _ := collect(t, dir, Config{SegmentSize: 64})
 	for i := 0; i < 40; i++ {
 		if err := l.Append(encStr(fmt.Sprintf("retired-%03d", i))); err != nil {
 			t.Fatal(err)
@@ -308,7 +317,7 @@ func TestCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l2, got := collect(t, dir, Config{Sync: SyncNever})
+	l2, got := collect(t, dir, Config{})
 	defer l2.Close()
 	want := append(append([]string(nil), live...), "after-compact")
 	if len(got) != len(want) {
@@ -332,7 +341,7 @@ func TestCompaction(t *testing.T) {
 func TestBaseSnapshotReadInPieces(t *testing.T) {
 	const seg = 4 << 10
 	dir := filepath.Join(t.TempDir(), "wal")
-	cfg := Config{Sync: SyncNever, SegmentSize: seg}
+	cfg := Config{SegmentSize: seg}
 	var want []string
 	for i := 0; i < 200; i++ {
 		n := 50 + i*397%700
@@ -397,7 +406,7 @@ func TestBaseSnapshotReadInPieces(t *testing.T) {
 func TestCompactionCrashLeftovers(t *testing.T) {
 	t.Run("pre-rename tmp", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "wal")
-		l, _ := collect(t, dir, Config{Sync: SyncNever})
+		l, _ := collect(t, dir, Config{})
 		if err := l.Append(encStr("kept")); err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +415,7 @@ func TestCompactionCrashLeftovers(t *testing.T) {
 		if err := os.WriteFile(tmp, []byte("half a snapshot"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, got := collect(t, dir, Config{Sync: SyncNever})
+		l2, got := collect(t, dir, Config{})
 		defer l2.Close()
 		if len(got) != 1 || got[0] != "kept" {
 			t.Fatalf("recovered %q, want [kept]", got)
@@ -418,7 +427,7 @@ func TestCompactionCrashLeftovers(t *testing.T) {
 	t.Run("post-rename stale segments", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "wal")
 		// Build stale pre-compaction segments 1..3.
-		l, _ := collect(t, dir, Config{Sync: SyncNever, SegmentSize: headerSize + 1})
+		l, _ := collect(t, dir, Config{SegmentSize: headerSize + 1})
 		for _, s := range []string{"stale-1", "stale-2"} {
 			if err := l.Append(encStr(s)); err != nil {
 				t.Fatal(err)
@@ -442,7 +451,7 @@ func TestCompactionCrashLeftovers(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%012d%s", 4, segSuffix)), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, got := collect(t, dir, Config{Sync: SyncNever})
+		l2, got := collect(t, dir, Config{})
 		defer l2.Close()
 		if len(got) != 1 || got[0] != "snapshot-state" {
 			t.Fatalf("recovered %q, want [snapshot-state]", got)
@@ -462,7 +471,7 @@ func TestCompactionCrashLeftovers(t *testing.T) {
 // it and resumes on the previous one.
 func TestTornSegmentHeaderDropped(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncNever})
+	l, _ := collect(t, dir, Config{})
 	if err := l.Append(encStr("survives")); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +480,7 @@ func TestTornSegmentHeaderDropped(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%012d%s", 2, segSuffix)), []byte("WSDW"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, got := collect(t, dir, Config{Sync: SyncNever})
+	l2, got := collect(t, dir, Config{})
 	defer l2.Close()
 	if len(got) != 1 || got[0] != "survives" {
 		t.Fatalf("recovered %q, want [survives]", got)
@@ -481,21 +490,6 @@ func TestTornSegmentHeaderDropped(t *testing.T) {
 	}
 	if err := l2.Append(encStr("again")); err != nil {
 		t.Fatalf("append after torn-header drop: %v", err)
-	}
-}
-
-func TestSyncPolicyAlways(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncAlways})
-	defer l.Close()
-	base := l.Syncs.Value()
-	for i := 0; i < 3; i++ {
-		if err := l.Append(encStr("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := l.Syncs.Value() - base; n != 3 {
-		t.Fatalf("SyncAlways: %d syncs for 3 appends, want 3", n)
 	}
 }
 
@@ -520,7 +514,7 @@ func waitSyncs(t *testing.T, l *Log, base, want int64) {
 func TestSyncPolicyInterval(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncInterval, Clock: vc})
+	l, _ := collect(t, dir, Config{Clock: vc})
 	defer l.Close()
 	base := l.Syncs.Value()
 	for i := 0; i < 10; i++ {
@@ -552,7 +546,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 func TestExplicitSyncClearsWindow(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	dir := filepath.Join(t.TempDir(), "wal")
-	l, _ := collect(t, dir, Config{Sync: SyncInterval, Clock: vc})
+	l, _ := collect(t, dir, Config{Clock: vc})
 	defer l.Close()
 	base := l.Syncs.Value()
 	if err := l.Append(encStr("x")); err != nil {

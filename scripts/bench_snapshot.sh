@@ -4,19 +4,17 @@
 #
 # The snapshot records the skim tentpole's headline numbers: the full
 # dispatcher exchange (BenchmarkDispatchExchange — the ≤7 allocs/op
-# gate reads against this), the burst path (BenchmarkDispatchBatch),
-# the wall-clock shard ablation (BenchmarkDispatchSharded), the skim
+# gate reads against this), the burst path (BenchmarkDispatchBatch), the skim
 # codec trio (BenchmarkSkim / BenchmarkSkimRewrite — the zero-alloc
 # scan and splice — against BenchmarkParseRewrite, the parse-path
 # equivalent; their ratio is emitted as its own derived row), and the
 # loadgen saturation ramp over netsim (BenchmarkSaturationRamp,
 # reporting virtual msg/min and real wall-ms per point).
 #
-# PR 10 adds the durability rows: WAL append ns/op under each sync
-# policy (BenchmarkWALAppend/nosync|group|always — the zero-alloc gate
-# reads against the nosync row), recovery replay throughput
-# (BenchmarkWALRecovery, rec/s), and the store's put+delete round-trip
-# over the WAL (BenchmarkStorePutDelete).
+# The durability rows: WAL append ns/op under the group-commit policy
+# (BenchmarkWALAppend), recovery replay throughput (BenchmarkWALRecovery,
+# rec/s), and the store's put+delete round-trip over the WAL
+# (BenchmarkStorePutDelete).
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 set -eu
@@ -26,7 +24,7 @@ out="${1:-BENCH_pr10.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench 'DispatchExchange|DispatchBatch|DispatchSharded' -benchmem -count=1 \
+go test -run '^$' -bench 'DispatchExchange|DispatchBatch' -benchmem -count=1 \
     ./internal/dispatch/msgdisp/ >>"$tmp"
 go test -run '^$' -bench 'Skim$|SkimRewrite$|ParseRewrite$' -benchmem -count=1 \
     ./internal/wsa/ >>"$tmp"
